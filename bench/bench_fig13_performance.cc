@@ -179,7 +179,7 @@ EmuPathResult measureEmuPath(const std::string& name,
   // superinstruction peephole on the compiled plans.
   auto timeMode = [&](bool reference, bool fuse, bool burst) {
     emu::Emulator emu(&topo, 7);
-    emu.setOptions({.fuse_plans = fuse, .pipeline_bursts = true});
+    emu.setOptions({.fuse_plans = fuse});
     emu.setReferenceInterpreter(reference);
     emu::DeploymentEntry entry;
     entry.user_id = 1;
@@ -244,339 +244,6 @@ bool samePacket(const ir::PacketView& a, const ir::PacketView& b) {
   return a.params == b.params && a.fields == b.fields &&
          a.verdict == b.verdict && a.mirrored == b.mirrored &&
          a.cpu_copied == b.cpu_copied;
-}
-
-// --- parallel emulation: device-disjoint flows over a worker pool ---
-//
-// The multi-tenant regime sendBursts() parallelizes: k flows, each on its
-// own client-device-server chain, each device running the deployed
-// program against its own state store. Aggregate packets/sec across the
-// whole fleet, per pool size; results are bit-identical across thread
-// counts (asserted in tests/test_parallel.cc, spot-checked here).
-struct ParEmuResult {
-  std::string name;
-  int flows = 0;
-  std::size_t packets_per_flow = 0;
-  double median_1t_pps = 0;
-  double median_2t_pps = 0;
-  double median_4t_pps = 0;
-  double speedup_2t = 0;
-  double speedup_4t = 0;
-  bool identical = false;  // 4-thread results == sequential results
-};
-
-topo::Topology disjointChains(int k) {
-  topo::Topology t;
-  for (int i = 0; i < k; ++i) {
-    Node c;
-    c.name = cat("client", i);
-    c.kind = NodeKind::kHost;
-    const int cid = t.addNode(c);
-    Node d;
-    d.name = cat("dev", i);
-    d.kind = NodeKind::kSwitch;
-    d.programmable = true;
-    d.model = device::makeTofino();
-    const int did = t.addNode(d);
-    Node s;
-    s.name = cat("server", i);
-    s.kind = NodeKind::kHost;
-    const int sid = t.addNode(s);
-    t.addLink(cid, did);
-    t.addLink(did, sid);
-  }
-  return t;
-}
-
-ParEmuResult measureParallelEmu(const std::string& name,
-                                const ir::IrProgram& prog, int flows,
-                                std::size_t packets_per_flow, int reps) {
-  ParEmuResult r;
-  r.name = name;
-  r.flows = flows;
-  r.packets_per_flow = packets_per_flow;
-
-  const auto topo = disjointChains(flows);
-  auto shared = std::make_shared<ir::IrProgram>(prog);
-  std::vector<int> idxs(prog.instrs.size());
-  for (std::size_t i = 0; i < idxs.size(); ++i) idxs[i] = static_cast<int>(i);
-
-  std::vector<std::vector<ir::PacketView>> base(
-      static_cast<std::size_t>(flows));
-  for (int f = 0; f < flows; ++f) {
-    base[static_cast<std::size_t>(f)] =
-        makePackets(prog, packets_per_flow,
-                    0xE14 + static_cast<std::uint64_t>(f));
-  }
-
-  auto runOnce = [&](util::ThreadPool* pool,
-                     std::vector<std::vector<emu::PacketResult>>* out) {
-    emu::Emulator emu(&topo, 7);
-    emu.setThreadPool(pool);
-    for (int f = 0; f < flows; ++f) {
-      emu::DeploymentEntry entry;
-      entry.user_id = 1;
-      entry.prog = shared;
-      entry.instr_idxs = idxs;
-      entry.step_from = 0;
-      entry.step_to = 1;
-      emu.deploy(topo.findNode(cat("dev", f)), entry);
-    }
-    std::vector<emu::Burst> bursts(static_cast<std::size_t>(flows));
-    for (int f = 0; f < flows; ++f) {
-      auto& b = bursts[static_cast<std::size_t>(f)];
-      b.src = topo.findNode(cat("client", f));
-      b.dst = topo.findNode(cat("server", f));
-      b.views = base[static_cast<std::size_t>(f)];
-      b.wire_bytes = 100;
-      b.useful_bytes = 100;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    auto results = emu.sendBursts(std::move(bursts));
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    if (out != nullptr) *out = std::move(results);
-    const double total =
-        static_cast<double>(flows) * static_cast<double>(packets_per_flow);
-    return s > 0 ? total / s : 0.0;
-  };
-
-  std::vector<double> pps_1t, pps_2t, pps_4t;
-  std::vector<std::vector<emu::PacketResult>> seq_out, par_out;
-  {
-    util::ThreadPool pool2(2);
-    util::ThreadPool pool4(4);
-    for (int rep = 0; rep < reps; ++rep) {
-      pps_1t.push_back(runOnce(nullptr, rep == 0 ? &seq_out : nullptr));
-      pps_2t.push_back(runOnce(&pool2, nullptr));
-      pps_4t.push_back(runOnce(&pool4, rep == 0 ? &par_out : nullptr));
-    }
-  }
-  r.identical = seq_out.size() == par_out.size();
-  for (std::size_t f = 0; r.identical && f < seq_out.size(); ++f) {
-    if (seq_out[f].size() != par_out[f].size()) {
-      r.identical = false;
-      break;
-    }
-    for (std::size_t i = 0; i < seq_out[f].size(); ++i) {
-      if (!samePacket(seq_out[f][i].view, par_out[f][i].view) ||
-          seq_out[f][i].latency_ns != par_out[f][i].latency_ns ||
-          seq_out[f][i].dropped != par_out[f][i].dropped) {
-        r.identical = false;
-        break;
-      }
-    }
-  }
-  r.median_1t_pps = bench::medianOf(pps_1t);
-  r.median_2t_pps = bench::medianOf(pps_2t);
-  r.median_4t_pps = bench::medianOf(pps_4t);
-  r.speedup_2t = r.median_1t_pps > 0 ? r.median_2t_pps / r.median_1t_pps : 0;
-  r.speedup_4t = r.median_1t_pps > 0 ? r.median_4t_pps / r.median_1t_pps : 0;
-  return r;
-}
-
-// --- converging traffic: many-to-one flows through one aggregation
-// switch, each with a private smartNIC stage ---
-//
-// The regime the stage-pipelined sendBursts targets (MLAgg's
-// many-to-one, paper Fig. 13 case 5): per-flow compression on the NIC
-// overlaps with the shared switch's serialized aggregation. The PR 2
-// baseline is the sequential unfused path (grouped execution collapses
-// aliasing flows to sequential anyway); the sweep measures what fusion
-// alone, and fusion + pipelining per pool size, buy on top.
-struct ConvResult {
-  int flows = 0;
-  std::size_t packets_per_flow = 0;
-  std::size_t nic_instrs = 0;
-  std::size_t switch_instrs = 0;
-  double median_seq_unfused_pps = 0;  // PR 2 compiled path
-  double median_seq_fused_pps = 0;
-  double median_pipe_2t_pps = 0;      // fused + pipelined
-  double median_pipe_4t_pps = 0;
-  double median_grouped_4t_pps = 0;   // PR 3 executor (pipeline off)
-  double speedup_fused = 0;           // seq fused vs seq unfused
-  double speedup_fused_pipelined = 0;  // best pipelined vs seq unfused
-  bool identical = false;
-};
-
-// Per-NIC compression stand-in: per-dimension shift/compare/select/mask
-// chains — the shape of sparse-gradient thresholding, and rich in
-// fusable pairs like the real frontend output.
-ir::IrProgram nicCompressProgram(int dim) {
-  ir::IrProgram p;
-  p.name = "niccomp";
-  ir::StateObject s;
-  s.name = "nic_seen";
-  s.kind = ir::StateKind::kRegister;
-  s.depth = 2;
-  const int sid = p.addState(s);
-  p.instrs.push_back(ir::Instruction(
-      ir::Opcode::kRegAdd, ir::Operand::var("nseen", 32),
-      {ir::Operand::constant(0, 8), ir::Operand::constant(1, 32)}, sid));
-  for (int d = 0; d < dim; ++d) {
-    const auto field = cat("hdr.data.", d);
-    p.addField(field, 32);
-    p.instrs.push_back(ir::Instruction(
-        ir::Opcode::kShr, ir::Operand::var(cat("m", d), 32),
-        {ir::Operand::field(field, 32), ir::Operand::constant(4, 32)}));
-    p.instrs.push_back(ir::Instruction(
-        ir::Opcode::kCmpEq, ir::Operand::var(cat("z", d), 1),
-        {ir::Operand::var(cat("m", d), 32), ir::Operand::constant(0, 32)}));
-    p.instrs.push_back(ir::Instruction(
-        ir::Opcode::kSelect, ir::Operand::var(cat("v", d), 32),
-        {ir::Operand::var(cat("z", d), 1), ir::Operand::constant(0, 32),
-         ir::Operand::field(field, 32)}));
-    p.instrs.push_back(ir::Instruction(
-        ir::Opcode::kAssign, ir::Operand::field(field, 32),
-        {ir::Operand::var(cat("v", d), 32)}));
-  }
-  return p;
-}
-
-ConvResult measureConverging(const ir::IrProgram& switch_prog, int dim,
-                             int flows, std::size_t packets_per_flow,
-                             int reps) {
-  ConvResult r;
-  r.flows = flows;
-  r.packets_per_flow = packets_per_flow;
-
-  // client_i — nic_i — agg switch — server.
-  topo::Topology t;
-  Node sw;
-  sw.name = "agg";
-  sw.kind = NodeKind::kSwitch;
-  sw.programmable = true;
-  sw.model = device::makeTofino();
-  const int swid = t.addNode(sw);
-  Node server;
-  server.name = "server";
-  server.kind = NodeKind::kHost;
-  const int sid = t.addNode(server);
-  t.addLink(swid, sid);
-  for (int f = 0; f < flows; ++f) {
-    Node c;
-    c.name = cat("client", f);
-    c.kind = NodeKind::kHost;
-    const int cid = t.addNode(c);
-    Node nic;
-    nic.name = cat("nic", f);
-    nic.kind = NodeKind::kNic;
-    nic.programmable = true;
-    nic.model = device::makeNfp();
-    const int nid = t.addNode(nic);
-    t.addLink(cid, nid);
-    t.addLink(nid, swid);
-  }
-
-  auto nic_prog = std::make_shared<ir::IrProgram>(nicCompressProgram(dim));
-  auto sw_prog = std::make_shared<ir::IrProgram>(switch_prog);
-  r.nic_instrs = nic_prog->instrs.size();
-  r.switch_instrs = sw_prog->instrs.size();
-
-  auto makeConvBursts = [&] {
-    Rng rng(0xC13);
-    std::vector<emu::Burst> bursts;
-    for (int f = 0; f < flows; ++f) {
-      emu::Burst b;
-      b.src = t.findNode(cat("client", f));
-      b.dst = t.findNode("server");
-      b.wire_bytes = 100 + 4 * dim;
-      b.useful_bytes = 4 * dim;
-      for (std::size_t p = 0; p < packets_per_flow; ++p) {
-        ir::PacketView view;
-        view.user_id = 1;
-        view.setField("hdr.op", 1);
-        view.setField("hdr.seq", rng.nextBelow(256));
-        view.setField("hdr.bitmap", 1u << (f % 2));
-        view.setField("hdr.overflow", 0);
-        for (int d = 0; d < dim; ++d) {
-          view.setField(cat("hdr.data.", d), rng.nextBelow(1u << 10));
-        }
-        b.views.push_back(std::move(view));
-      }
-      bursts.push_back(std::move(b));
-    }
-    return bursts;
-  };
-
-  auto runOnce = [&](util::ThreadPool* pool, bool fuse, bool pipeline,
-                     std::vector<std::vector<emu::PacketResult>>* out) {
-    emu::Emulator emu(&t, 7);
-    emu.setOptions({.fuse_plans = fuse, .pipeline_bursts = pipeline});
-    emu.setThreadPool(pool);
-    auto entryFor = [&](const std::shared_ptr<ir::IrProgram>& p,
-                        int step_from, int step_to) {
-      emu::DeploymentEntry e;
-      e.user_id = 1;
-      e.prog = p;
-      for (std::size_t i = 0; i < p->instrs.size(); ++i) {
-        e.instr_idxs.push_back(static_cast<int>(i));
-      }
-      e.step_from = step_from;
-      e.step_to = step_to;
-      return e;
-    };
-    for (int f = 0; f < flows; ++f) {
-      emu.deploy(t.findNode(cat("nic", f)), entryFor(nic_prog, 0, 1));
-    }
-    emu.deploy(swid, entryFor(sw_prog, 1, 2));
-    auto bursts = makeConvBursts();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto results = emu.sendBursts(std::move(bursts));
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    if (out != nullptr) *out = std::move(results);
-    const double total = static_cast<double>(flows) *
-                         static_cast<double>(packets_per_flow);
-    return s > 0 ? total / s : 0.0;
-  };
-
-  std::vector<double> seq_unfused, seq_fused, pipe2, pipe4, grouped4;
-  std::vector<std::vector<emu::PacketResult>> seq_out, pipe_out;
-  {
-    util::ThreadPool pool2(2);
-    util::ThreadPool pool4(4);
-    for (int rep = 0; rep < reps; ++rep) {
-      seq_unfused.push_back(
-          runOnce(nullptr, false, true, rep == 0 ? &seq_out : nullptr));
-      seq_fused.push_back(runOnce(nullptr, true, true, nullptr));
-      pipe2.push_back(runOnce(&pool2, true, true, nullptr));
-      pipe4.push_back(
-          runOnce(&pool4, true, true, rep == 0 ? &pipe_out : nullptr));
-      grouped4.push_back(runOnce(&pool4, true, false, nullptr));
-    }
-  }
-  r.identical = seq_out.size() == pipe_out.size();
-  for (std::size_t f = 0; r.identical && f < seq_out.size(); ++f) {
-    if (seq_out[f].size() != pipe_out[f].size()) {
-      r.identical = false;
-      break;
-    }
-    for (std::size_t i = 0; i < seq_out[f].size(); ++i) {
-      if (!samePacket(seq_out[f][i].view, pipe_out[f][i].view) ||
-          seq_out[f][i].latency_ns != pipe_out[f][i].latency_ns ||
-          seq_out[f][i].dropped != pipe_out[f][i].dropped) {
-        r.identical = false;
-        break;
-      }
-    }
-  }
-  r.median_seq_unfused_pps = bench::medianOf(seq_unfused);
-  r.median_seq_fused_pps = bench::medianOf(seq_fused);
-  r.median_pipe_2t_pps = bench::medianOf(pipe2);
-  r.median_pipe_4t_pps = bench::medianOf(pipe4);
-  r.median_grouped_4t_pps = bench::medianOf(grouped4);
-  r.speedup_fused = r.median_seq_unfused_pps > 0
-                        ? r.median_seq_fused_pps / r.median_seq_unfused_pps
-                        : 0;
-  const double best_pipe = std::max(r.median_pipe_2t_pps,
-                                    r.median_pipe_4t_pps);
-  r.speedup_fused_pipelined =
-      r.median_seq_unfused_pps > 0 ? best_pipe / r.median_seq_unfused_pps
-                                   : 0;
-  return r;
 }
 
 InterpResult measureInterp(const std::string& name,
@@ -811,75 +478,12 @@ int main() {
   }
   bench::printTable(emu_table);
 
-  // Parallel emulation: device-disjoint flows across a worker pool. The
-  // aggregate throughput scales with min(threads, flows) when the
-  // hardware provides the cores; results stay bit-identical.
-  bench::printHeader(
-      "Parallel emulation — device-disjoint flows via sendBursts",
-      cat("4 flows on disjoint client-device-server chains, one burst "
-          "each; aggregate pkt/s.\nHardware threads on this machine: ",
-          util::ThreadPool::hardwareConcurrency(), "."));
-
-  const int par_flows = 4;
-  const std::size_t par_packets = npackets / 2;
-  std::vector<ParEmuResult> par_results;
-  par_results.push_back(measureParallelEmu(
-      "mlagg_dim32_largest_fig13", programs[1].second, par_flows,
-      par_packets, reps));
-  par_results.push_back(measureParallelEmu("kvs", programs[2].second,
-                                           par_flows, par_packets, reps));
-
-  TextTable par_table({"workload", "1 thread (pkt/s)", "2 threads (pkt/s)",
-                       "4 threads (pkt/s)", "speedup 2t", "speedup 4t",
-                       "identical"});
-  for (const auto& r : par_results) {
-    par_table.addRow(
-        {r.name, fmtDouble(r.median_1t_pps, 0),
-         fmtDouble(r.median_2t_pps, 0), fmtDouble(r.median_4t_pps, 0),
-         cat(fmtDouble(r.speedup_2t, 2), "x"),
-         cat(fmtDouble(r.speedup_4t, 2), "x"),
-         r.identical ? "yes" : "NO"});
-  }
-  bench::printTable(par_table);
-
-  // Converging traffic: the MLAgg many-to-one regime — per-flow smartNIC
-  // compression feeding one shared aggregation switch. The old executor
-  // collapsed this to sequential (every flow aliases the switch); the
-  // stage-pipelined executor overlaps NIC stages with the switch's
-  // serialized aggregation. Baseline = the PR 2 compiled path
-  // (sequential, unfused).
-  bench::printHeader(
-      "Converging traffic — fused + pipelined sendBursts on shared-device "
-      "flows",
-      cat("Per-flow NIC compression -> one aggregation switch -> server; "
-          "aggregate pkt/s across flows.\nHardware threads on this "
-          "machine: ", util::ThreadPool::hardwareConcurrency(),
-          " (pipelining needs >1 core to show)."));
-
-  const auto conv = measureConverging(programs[1].second, 32, par_flows,
-                                      par_packets, reps);
-  TextTable conv_table({"flows", "seq unfused (pkt/s)",
-                        "seq fused (pkt/s)", "pipelined 2t (pkt/s)",
-                        "pipelined 4t (pkt/s)", "grouped 4t (pkt/s)",
-                        "fusion speedup", "fused+pipelined speedup",
-                        "identical"});
-  conv_table.addRow({cat(conv.flows),
-                     fmtDouble(conv.median_seq_unfused_pps, 0),
-                     fmtDouble(conv.median_seq_fused_pps, 0),
-                     fmtDouble(conv.median_pipe_2t_pps, 0),
-                     fmtDouble(conv.median_pipe_4t_pps, 0),
-                     fmtDouble(conv.median_grouped_4t_pps, 0),
-                     cat(fmtDouble(conv.speedup_fused, 2), "x"),
-                     cat(fmtDouble(conv.speedup_fused_pipelined, 2), "x"),
-                     conv.identical ? "yes" : "NO"});
-  bench::printTable(conv_table);
-
   // Machine-readable trajectory record (schema: docs/benchmarks.md).
   bench::JsonWriter json;
   json.beginObject();
   json.kv("bench", "fig13_performance");
   json.kv("hardware_threads", util::ThreadPool::hardwareConcurrency());
-  bench::writeHostObject(json, 4);  // largest pool the sweeps attach
+  bench::writeHostObject(json, 1);  // no worker pool in this bench
   json.kv("smoke", smoke);
   json.kv("rounds", rounds);
   json.key("configs").beginArray();
@@ -937,39 +541,6 @@ int main() {
     json.endObject();
   }
   json.endArray();
-  json.endObject();
-  json.key("parallel_emulator").beginObject();
-  json.kv("flows", par_flows);
-  json.kv("packets_per_flow", static_cast<long>(par_packets));
-  json.kv("reps", reps);
-  json.key("workloads").beginArray();
-  for (const auto& r : par_results) {
-    json.beginObject();
-    json.kv("name", r.name);
-    json.kv("median_1t_pps", r.median_1t_pps);
-    json.kv("median_2t_pps", r.median_2t_pps);
-    json.kv("median_4t_pps", r.median_4t_pps);
-    json.kv("speedup_2t", r.speedup_2t);
-    json.kv("speedup_4t", r.speedup_4t);
-    json.kv("identical", r.identical);
-    json.endObject();
-  }
-  json.endArray();
-  json.endObject();
-  json.key("converging").beginObject();
-  json.kv("flows", conv.flows);
-  json.kv("packets_per_flow", static_cast<long>(conv.packets_per_flow));
-  json.kv("reps", reps);
-  json.kv("nic_instrs", static_cast<long>(conv.nic_instrs));
-  json.kv("switch_instrs", static_cast<long>(conv.switch_instrs));
-  json.kv("median_seq_unfused_pps", conv.median_seq_unfused_pps);
-  json.kv("median_seq_fused_pps", conv.median_seq_fused_pps);
-  json.kv("median_pipelined_2t_pps", conv.median_pipe_2t_pps);
-  json.kv("median_pipelined_4t_pps", conv.median_pipe_4t_pps);
-  json.kv("median_grouped_4t_pps", conv.median_grouped_4t_pps);
-  json.kv("speedup_fused", conv.speedup_fused);
-  json.kv("speedup_fused_pipelined", conv.speedup_fused_pipelined);
-  json.kv("identical", conv.identical);
   json.endObject();
   json.endObject();
   if (json.writeFile("BENCH_fig13.json")) {

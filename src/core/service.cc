@@ -214,12 +214,10 @@ void ClickIncService::setConcurrency(int threads) {
   std::lock_guard<std::mutex> lock(mu_);
   concurrency_ = std::max(1, threads);
   if (concurrency_ <= 1) {
-    emu_.setThreadPool(nullptr);
     pool_.reset();
     return;
   }
   pool_ = std::make_shared<util::ThreadPool>(concurrency_);
-  emu_.setThreadPool(pool_.get());
 }
 
 // --- placement domains (docs/scale.md) ----------------------------------
@@ -517,29 +515,6 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
   touchDevicesLocked(planDevices(it->second.plan));
   deployed_.erase(it);
   out.ok = true;
-}
-
-// --- legacy shims -------------------------------------------------------
-
-SubmitResult ClickIncService::submitTemplate(
-    const std::string& tmpl,
-    const std::map<std::string, std::uint64_t>& params,
-    const topo::TrafficSpec& traffic, const place::PlacementOptions& opts) {
-  return submit(SubmitRequest::fromTemplate(tmpl, params, traffic, opts));
-}
-
-SubmitResult ClickIncService::submitSource(
-    const std::string& source, const lang::HeaderSpec& hdr,
-    const std::map<std::string, std::uint64_t>& constants,
-    const topo::TrafficSpec& traffic, const place::PlacementOptions& opts) {
-  return submit(
-      SubmitRequest::fromSource(source, hdr, constants, traffic, opts));
-}
-
-SubmitResult ClickIncService::submitProgram(
-    ir::IrProgram prog, const topo::TrafficSpec& traffic,
-    const place::PlacementOptions& opts) {
-  return submit(SubmitRequest::fromProgram(std::move(prog), traffic, opts));
 }
 
 // --- pipeline stages ----------------------------------------------------

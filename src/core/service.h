@@ -103,26 +103,6 @@ class ClickIncService {
   // Joins every submitAsync() submission issued so far.
   void waitForAsync();
 
-  // --- legacy single-shot overloads (thin shims over SubmitRequest) ---
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitTemplate(const std::string& tmpl,
-                              const std::map<std::string, std::uint64_t>& params,
-                              const topo::TrafficSpec& traffic,
-                              const place::PlacementOptions& opts = {});
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitSource(const std::string& source,
-                            const lang::HeaderSpec& hdr,
-                            const std::map<std::string, std::uint64_t>& constants,
-                            const topo::TrafficSpec& traffic,
-                            const place::PlacementOptions& opts = {});
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitProgram(ir::IrProgram prog,
-                             const topo::TrafficSpec& traffic,
-                             const place::PlacementOptions& opts = {});
-
   // Removes a user program (lazy per §6 unless eager requested). Unknown
   // ids yield ErrorCode::kUnknownUser instead of silently succeeding.
   // Serializes with in-flight submitAsync() commits on the service lock,
@@ -268,14 +248,14 @@ class ClickIncService {
 
   // Concurrency knob for the whole pipeline: submitAll()/submitAsync()
   // compile tenants concurrently, placements run the worker-pool tree DP,
-  // and the emulator parallelizes device-disjoint bursts in sendBursts().
-  // 1 (the default) is strictly sequential; 0 resolves to the hardware
-  // thread count. Results are bit-identical across settings — parallelism
-  // changes wall-clock, never plans or packets. Joins outstanding async
-  // submissions and excludes in-flight submits before swapping the pool
-  // (in-flight compile stages keep the old pool alive via shared_ptr);
-  // do not call concurrently with an in-flight submitAll() or while
-  // driving the emulator from another thread.
+  // and synthesis builds per-device programs in parallel. The emulator
+  // stays single-threaded. 1 (the default) is strictly sequential; 0
+  // resolves to the hardware thread count. Results are bit-identical
+  // across settings — parallelism changes wall-clock, never plans or
+  // packets. Joins outstanding async submissions and excludes in-flight
+  // submits before swapping the pool (in-flight compile stages keep the
+  // old pool alive via shared_ptr); do not call concurrently with an
+  // in-flight submitAll().
   void setConcurrency(int threads);
   int concurrency() const { return concurrency_; }
   util::ThreadPool* threadPool() { return pool_.get(); }

@@ -9,22 +9,9 @@
 // throughput is useful-bits-delivered divided by the bottleneck's busy
 // time — preserving the *shape* of Fig. 13 without vendor-timing claims.
 //
-// Concurrency: state stores are per-device, so bursts whose paths share
-// no processing device never touch the same mutable state, and bursts
-// that *do* share a device only have to agree on their order at that
-// device. sendBursts() exploits both regimes: each burst's hop-major
-// walk is cut into segments at the hops where it meets a device some
-// earlier burst also visits, and the segments execute as a dependency
-// DAG on the attached util::ThreadPool — per-device arrival order is
-// burst-submission order (bit-identical state evolution), while hop
-// stages of different bursts overlap. Device-disjoint bursts degenerate
-// to one segment each and run fully parallel; converging traffic (the
-// MLAgg many-to-one regime) pipelines, e.g. burst k+1 compresses on its
-// smartNIC while burst k aggregates on the shared switch. Every burst
-// records its link/stats effects into a private deferred context,
-// replayed in burst order afterwards, so results and stats are
-// bit-identical to the sequential path (see docs/interpreter.md,
-// "Threading model").
+// Execution is single-threaded: send() walks one packet, sendBurst() one
+// flow's burst hop-major. Callers with several flows loop over
+// sendBurst() (see docs/interpreter.md, "Threading model").
 #pragma once
 
 #include <map>
@@ -37,23 +24,15 @@
 #include "ir/interp.h"
 #include "topo/topology.h"
 
-namespace clickinc::util {
-class ThreadPool;
-}
-
 namespace clickinc::emu {
 
 // Execution knobs. `fuse_plans` forwards the superinstruction-fusion
 // option to every plan the emulator compiles at deploy() time (the plan
 // cache keys on it, so redeploying after a toggle never reuses a plan
-// compiled under the other setting). `pipeline_bursts` selects the
-// stage-pipelined sendBursts() executor; off falls back to the older
-// device-disjoint-only grouping (aliasing bursts serialize whole-burst).
-// Both knobs are semantics-preserving — they change wall-clock, never
-// packets, state, or stats.
+// compiled under the other setting). It is semantics-preserving — it
+// changes wall-clock, never packets, state, or stats.
 struct EmulatorOptions {
   bool fuse_plans = true;
-  bool pipeline_bursts = true;
   // Health-aware routing: packets follow shortestPathUp, modeling a
   // converged routing plane that steers around Down elements. Off models
   // the pre-convergence window — paths ignore health and packets
@@ -124,15 +103,6 @@ struct EmuStats {
   }
 };
 
-// One flow's worth of same-sized packets for sendBursts().
-struct Burst {
-  int src = -1;
-  int dst = -1;
-  std::vector<ir::PacketView> views;
-  int wire_bytes = 0;
-  int useful_bytes = 0;
-};
-
 class Emulator {
  public:
   // `plan_cache` shares compiled execution plans across devices and
@@ -156,14 +126,8 @@ class Emulator {
   // through); replicated blocks downstream pick the work up (§6).
   void setFailed(int device_node, bool failed);
 
-  // Worker pool for sendBursts(); nullptr (default) = sequential. The
-  // pool is borrowed, not owned. Single-packet send() and single-flow
-  // sendBurst() are unaffected.
-  void setThreadPool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* threadPool() const { return pool_; }
-
-  // Execution knobs (fusion + pipelined bursts). fuse_plans applies to
-  // deploys made *after* the call — set it before deploying.
+  // Execution knobs. fuse_plans applies to deploys made *after* the
+  // call — set it before deploying.
   void setOptions(const EmulatorOptions& opts) { options_ = opts; }
   const EmulatorOptions& options() const { return options_; }
 
@@ -184,22 +148,6 @@ class Emulator {
   std::vector<PacketResult> sendBurst(int src, int dst,
                                       std::vector<ir::PacketView> views,
                                       int wire_bytes, int useful_bytes);
-
-  // Runs several flows' bursts. Semantically identical to calling
-  // sendBurst() once per element in order — bit-identical results, stats,
-  // and link accounting — but when a thread pool is attached, the bursts
-  // execute as a stage-pipelined DAG: each burst is cut into hop
-  // segments at the devices it shares with earlier bursts, segments of
-  // the same burst run in hop order, and segments visiting a shared
-  // device run in burst-submission order (so every per-device state
-  // store sees exactly the sequential arrival sequence). Device-disjoint
-  // bursts run fully parallel; converging flows overlap their
-  // non-shared hops with the shared device's serialized work. The whole
-  // call falls back to sequential execution when any deployed snippet
-  // consumes the shared Rng (RandInt), whose draw order could not
-  // otherwise be preserved, and to the pre-pipelining device-disjoint
-  // grouping when options().pipeline_bursts is off.
-  std::vector<std::vector<PacketResult>> sendBursts(std::vector<Burst> bursts);
 
   // Diagnostic/reference mode: route execution through the retained
   // switch interpreter (ir::Interpreter) instead of compiled plans. The
@@ -239,58 +187,21 @@ class Emulator {
   double linkBusyNs(int a, int b) const;
 
  private:
-  // Per-burst execution context: reusable scratch plus the burst's
-  // deferred side effects. Bursts running as parallel tasks each own one;
-  // the recorded charges/finishes are replayed into the emulator's
-  // accumulators in burst order, reproducing the sequential path's exact
-  // floating-point addition sequence.
-  struct BurstCtx {
-    ir::ExecPlan::Scratch scratch;
+  // Reusable scratch of the burst walk, kept across sendBurst() calls.
+  struct BurstScratch {
     std::vector<double> batch_added;
     std::vector<ir::PacketView*> batch_eligible;
     std::vector<std::size_t> batch_eligible_idx;
-    // Per-hop scratch of the burst walk (in-flight subset + latencies).
+    // Per-hop in-flight subset and its added latencies.
     std::vector<ir::PacketView*> hop_sub;
     std::vector<std::size_t> hop_sub_idx;
     std::vector<double> hop_sub_lat;
-
-    struct Charge {
-      int a, b, bytes;
-    };
-    std::vector<Charge> charges;               // in charge order
-    std::vector<std::pair<double, double>> finishes;  // (latency, inc) in
-                                                      // finish order
-    EmuStats counters;  // integer tallies; double sums come from finishes
-
-    void resetEffects() {
-      charges.clear();
-      finishes.clear();
-      counters = EmuStats{};
-    }
-  };
-
-  // One burst's resumable hop-major walk. The sequential paths drive it
-  // start → runBurstHops(0, end) → finishBurstRun in one go; the
-  // pipelined executor drives the same code hop-segment by hop-segment,
-  // which is what makes the two paths bit-identical by construction.
-  struct BurstRun {
-    int src = -1;
-    int dst = -1;
-    int wire_bytes = 0;
-    int useful_bytes = 0;
-    std::vector<int> path;                // empty when the burst is empty
-    std::vector<ir::PacketView> flight;
-    std::vector<bool> alive;
-    std::size_t live = 0;                 // fast-path skip for dead tails
-    std::vector<PacketResult> results;
-    BurstCtx* ctx = nullptr;              // deferred effects + scratch
   };
 
   const topo::Topology* topo_;
   Rng rng_;
   ir::ExecPlanCache own_cache_;        // used when no shared cache given
   ir::ExecPlanCache* plan_cache_;
-  util::ThreadPool* pool_ = nullptr;
   EmulatorOptions options_;
   bool use_reference_ = false;
   std::map<int, std::vector<DeploymentEntry>> deployments_;
@@ -306,13 +217,13 @@ class Emulator {
   // `user` (or an unfiltered snippet). Gate for the kUndeployed drop; only
   // consulted for user traffic (view.user_id >= 0).
   bool userServedOnPath(const std::vector<int>& path, int user) const;
-  // Drops one in-flight packet of a burst with a structured reason.
-  void dropPacket(BurstRun& r, std::size_t i, int at, DropReason reason);
+  // Counts one drop in stats_ under its reason.
+  void countDrop(DropReason reason);
   // Runs a device's snippets on the packet; returns added latency.
   double processAt(int node, ir::PacketView& view);
   // The per-packet entry loop shared by processAt and the batched path.
   double runEntriesOn(int node, const std::vector<DeploymentEntry>& entries,
-                      ir::PacketView& view, ir::ExecPlan::Scratch& scratch);
+                      ir::PacketView& view);
   // The single eligibility gate both execution paths consult: user
   // filter, §6 step gates, and the already-decided check (verdicts never
   // unset, so skipping per entry equals processAt's early break).
@@ -327,46 +238,11 @@ class Emulator {
   // multi-entry devices fall back to packet-major execution so results
   // stay identical to sequential send() even when entries share state.
   void processBatchAt(int node, std::span<ir::PacketView* const> views,
-                      std::span<double> latency_out, BurstCtx& ctx);
+                      std::span<double> latency_out);
   void chargeLink(int a, int b, int bytes);
 
-  // One burst's hop-major walk, all link/stats effects deferred into ctx.
-  std::vector<PacketResult> runBurst(int src, int dst,
-                                     std::vector<ir::PacketView> views,
-                                     int wire_bytes, int useful_bytes,
-                                     BurstCtx& ctx);
-  // The resumable pieces runBurst is made of (also driven segment-wise
-  // by the pipelined executor). startBurstRun resolves the path and
-  // initializes the in-flight set; runBurstHops advances hops
-  // [h_begin, h_end); finishBurstRun delivers whatever is still alive.
-  void startBurstRun(BurstRun& r, int src, int dst,
-                     std::vector<ir::PacketView> views, int wire_bytes,
-                     int useful_bytes);
-  void runBurstHops(BurstRun& r, std::size_t h_begin, std::size_t h_end);
-  void finishBurstRun(BurstRun& r);
-  void finishPacket(BurstRun& r, std::size_t i, int at);
-  // Stage-pipelined executor for aliasing bursts (pool attached,
-  // pipeline_bursts on): per-device-ordered segment DAG on the pool.
-  std::vector<std::vector<PacketResult>> sendBurstsPipelined(
-      std::vector<Burst> bursts);
-  // PR3-era executor: device-disjoint bursts in parallel, aliasing
-  // groups serialized whole-burst (kept under pipeline_bursts == false).
-  std::vector<std::vector<PacketResult>> sendBurstsGrouped(
-      std::vector<Burst> bursts);
-  // Replays a context's recorded effects into the shared accumulators.
-  void applyBurstEffects(const BurstCtx& ctx);
-  // Any deployed snippet containing RandInt (forces sequential bursts).
-  bool deploymentsUseRandom() const;
-  // Processing nodes (devices + bypass cards) a src->dst burst can touch.
-  std::vector<int> processingNodesOnPath(const std::vector<int>& path) const;
-  // The subset of processingNodesOnPath hop h actually consults state on:
-  // nodes carrying at least one deployment (per-device ordering is only
-  // needed there).
-  void deployedNodesAtHop(const std::vector<int>& path, std::size_t h,
-                          std::vector<int>* out) const;
-
-  ir::ExecPlan::Scratch scratch_;  // reused across every send()
-  BurstCtx burst_ctx_;             // reused across single-flow sendBurst()
+  ir::ExecPlan::Scratch scratch_;  // reused across every send/sendBurst
+  BurstScratch burst_;             // reused across every sendBurst()
 };
 
 }  // namespace clickinc::emu

@@ -38,7 +38,10 @@ struct DeviceOccupancy {
   std::vector<device::ResourceDemand> free_stage;  // pipeline devices
   device::ResourceDemand free_whole;               // RTC / hybrid devices
 
+  // Keeps a pointer to `model`, so the model must outlive the occupancy;
+  // the deleted rvalue overload rejects temporaries at compile time.
   static DeviceOccupancy fresh(const device::DeviceModel& model);
+  static DeviceOccupancy fresh(device::DeviceModel&&) = delete;
   // Fraction of the device's scalar capacity still free, in [0, 1].
   double remainingRatio() const;
 };

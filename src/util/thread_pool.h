@@ -1,7 +1,7 @@
-// Shared worker pool for the compile-and-emulate pipeline.
+// Shared worker pool for the compile pipeline.
 //
-// Both hot paths this repo parallelizes — sibling-subtree / segment fills
-// in the placement DP and device-disjoint bursts in the emulator — are
+// The hot paths this repo parallelizes — sibling-subtree / segment fills
+// in the placement DP, submitAll compiles and per-device synthesis — are
 // fork/join loops over independent indices, so the pool exposes exactly
 // one primitive: parallelFor(n, fn).
 //

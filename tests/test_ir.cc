@@ -512,6 +512,39 @@ TEST(Interp, SliceExtractsBits) {
   EXPECT_EQ(pkt.params.at("s"), 0xABu);
 }
 
+// A slice offset of 64 or more comes only from packet data at run time;
+// like kShl/kShr it must yield 0 (not the hardware's shift-mod-64) on
+// the reference interpreter and on unfused and fused plans alike.
+TEST(Interp, SliceByFieldOffsetOf64OrMoreYieldsZero) {
+  IrProgram p;
+  p.addField("hdr.shift", 8);
+  p.instrs.push_back(mk(Opcode::kSlice, Operand::var("s", 8),
+                        {Operand::constant(0xABCD, 16),
+                         Operand::field("hdr.shift", 8),
+                         Operand::constant(8, 8)}));
+  p.instrs.push_back(mk(Opcode::kAdd, Operand::var("t", 8),
+                        {Operand::var("s", 8), Operand::constant(1, 8)}));
+  for (std::uint64_t shift : {64u, 65u, 200u}) {
+    SCOPED_TRACE(cat("shift ", shift));
+    PacketView base;
+    base.setField("hdr.shift", shift);
+    StateStore store;
+    Rng rng(1);
+    Interpreter interp(&store, &rng);
+    PacketView ref = base;
+    interp.runAll(p, ref);
+    EXPECT_EQ(ref.params.at("s"), 0u);
+    EXPECT_EQ(ref.params.at("t"), 1u);
+    for (bool fuse : {false, true}) {
+      const ExecPlan plan = ExecPlan::compile(p, {.fuse = fuse});
+      PacketView pkt = base;
+      plan.run(&store, &rng, pkt);
+      EXPECT_EQ(pkt.params.at("s"), 0u) << "fuse " << fuse;
+      EXPECT_EQ(pkt.params.at("t"), 1u) << "fuse " << fuse;
+    }
+  }
+}
+
 TEST(Interp, ChecksumFolds) {
   IrProgram p;
   p.instrs.push_back(mk(Opcode::kChecksum, Operand::var("c", 16),

@@ -1,8 +1,10 @@
 // Seeded determinism suites for the worker-pool fast paths: parallel
-// placement plans and parallel emulator bursts must be bit-identical to
-// their sequential references across 1/2/8-thread pools. CI additionally
-// runs this binary under ThreadSanitizer (CLICKINC_TSAN) to prove the
-// parallel schedules are race-free, not just deterministic-by-luck.
+// placement plans and pooled service submissions must be bit-identical
+// to their sequential references across 1/2/8-thread pools. CI
+// additionally runs this binary under ThreadSanitizer (CLICKINC_TSAN) to
+// prove the parallel schedules are race-free, not just
+// deterministic-by-luck. The converging-traffic emulation suites at the
+// end pin the single-threaded burst walk against per-packet send().
 #include <gtest/gtest.h>
 
 #include "core/service.h"
@@ -232,7 +234,8 @@ void expectResultsIdentical(const std::vector<emu::PacketResult>& a,
                             const std::vector<emu::PacketResult>& b);
 void expectEmuStateIdentical(emu::Emulator& a, emu::Emulator& b,
                              const topo::Topology& topo,
-                             const ir::IrProgram& prog);
+                             const ir::IrProgram& prog,
+                             bool exact_sums = true);
 
 // Five tenants: three distinct templates, one duplicate template on
 // different traffic, and one failing request in the middle — the failure
@@ -348,7 +351,14 @@ TEST(ParallelService, SubmitAllBitIdenticalToSequentialSubmits) {
   }
 }
 
-// --- emulation: parallel sendBursts == sequential, bit for bit ---
+// --- emulation: converging traffic through sendBurst ---
+//
+// Many-to-one flows (the MLAgg regime, Fig. 13 case 5): every flow does
+// private work on its own smartNIC, then meets the others on one
+// aggregation switch whose state all of them update. Flows go out one
+// burst after another; each suite pins that against per-packet send()
+// in the same order — per-device arrival order, and so every state
+// store, must come out the same.
 
 // Stateful aggregator: acc[0] += hdr.value, drop every 3rd packet.
 std::shared_ptr<ir::IrProgram> aggAndDropThird() {
@@ -381,52 +391,6 @@ std::shared_ptr<ir::IrProgram> aggAndDropThird() {
   return prog;
 }
 
-// k independent client_i - dev_i - server_i chains in one topology: the
-// device-disjoint regime sendBursts parallelizes.
-topo::Topology disjointChains(int k) {
-  topo::Topology t;
-  for (int i = 0; i < k; ++i) {
-    topo::Node c;
-    c.name = cat("client", i);
-    c.kind = topo::NodeKind::kHost;
-    const int cid = t.addNode(c);
-    topo::Node d;
-    d.name = cat("dev", i);
-    d.kind = topo::NodeKind::kSwitch;
-    d.programmable = true;
-    d.model = device::makeTofino();
-    const int did = t.addNode(d);
-    topo::Node s;
-    s.name = cat("server", i);
-    s.kind = topo::NodeKind::kHost;
-    const int sid = t.addNode(s);
-    t.addLink(cid, did);
-    t.addLink(did, sid);
-  }
-  return t;
-}
-
-std::vector<emu::Burst> makeBursts(const topo::Topology& topo, int flows,
-                                   int packets, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<emu::Burst> bursts;
-  for (int f = 0; f < flows; ++f) {
-    emu::Burst b;
-    b.src = topo.findNode(cat("client", f));
-    b.dst = topo.findNode(cat("server", f));
-    b.wire_bytes = 200;
-    b.useful_bytes = 180;
-    for (int p = 0; p < packets; ++p) {
-      ir::PacketView view;
-      view.user_id = 1;
-      view.setField("hdr.value", rng.nextBelow(1u << 16));
-      b.views.push_back(std::move(view));
-    }
-    bursts.push_back(std::move(b));
-  }
-  return bursts;
-}
-
 void expectResultsIdentical(const std::vector<emu::PacketResult>& a,
                             const std::vector<emu::PacketResult>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -448,21 +412,32 @@ void expectResultsIdentical(const std::vector<emu::PacketResult>& a,
   }
 }
 
+// `exact_sums` is off only where the two emulators finished packets in
+// different orders (a burst walk vs per-packet send()): the stats' and
+// links' double sums then add the same terms in another order.
 void expectEmuStateIdentical(emu::Emulator& a, emu::Emulator& b,
                              const topo::Topology& topo,
-                             const ir::IrProgram& prog) {
+                             const ir::IrProgram& prog, bool exact_sums) {
+  auto expectSum = [&](double x, double y, const std::string& what) {
+    if (exact_sums) {
+      EXPECT_EQ(x, y) << what;
+    } else {
+      EXPECT_DOUBLE_EQ(x, y) << what;
+    }
+  };
   EXPECT_EQ(a.stats().packets_sent, b.stats().packets_sent);
   EXPECT_EQ(a.stats().packets_delivered, b.stats().packets_delivered);
   EXPECT_EQ(a.stats().packets_dropped, b.stats().packets_dropped);
   EXPECT_EQ(a.stats().packets_bounced, b.stats().packets_bounced);
   EXPECT_EQ(a.stats().useful_bytes_delivered,
             b.stats().useful_bytes_delivered);
-  EXPECT_EQ(a.stats().total_latency_ns, b.stats().total_latency_ns);
-  EXPECT_EQ(a.stats().total_inc_latency_ns,
-            b.stats().total_inc_latency_ns);
+  expectSum(a.stats().total_latency_ns, b.stats().total_latency_ns,
+            "total_latency_ns");
+  expectSum(a.stats().total_inc_latency_ns, b.stats().total_inc_latency_ns,
+            "total_inc_latency_ns");
   for (const auto& link : topo.links()) {
-    EXPECT_EQ(a.linkBusyNs(link.a, link.b), b.linkBusyNs(link.a, link.b))
-        << "link " << link.a << "-" << link.b;
+    expectSum(a.linkBusyNs(link.a, link.b), b.linkBusyNs(link.a, link.b),
+              cat("link ", link.a, "-", link.b));
   }
   // Compare every state instance the program defines on every device.
   for (const auto& node : topo.nodes()) {
@@ -481,193 +456,6 @@ void expectEmuStateIdentical(emu::Emulator& a, emu::Emulator& b,
     }
   }
 }
-
-class ParallelEmulation : public ::testing::Test {
- protected:
-  static constexpr int kFlows = 4;
-  static constexpr int kPackets = 64;
-
-  // Runs the same seeded multi-flow workload with and without a pool.
-  static void runBoth(int threads, std::vector<emu::Burst> bursts,
-                      const topo::Topology& topo, emu::Emulator& seq,
-                      emu::Emulator& par) {
-    auto prog = aggAndDropThird();
-    for (int f = 0; f < kFlows; ++f) {
-      const int dev = topo.findNode(cat("dev", f));
-      emu::DeploymentEntry e;
-      e.user_id = 1;
-      e.prog = prog;
-      for (std::size_t i = 0; i < prog->instrs.size(); ++i) {
-        e.instr_idxs.push_back(static_cast<int>(i));
-      }
-      e.step_from = 0;
-      e.step_to = 1;
-      seq.deploy(dev, e);
-      par.deploy(dev, e);
-    }
-    util::ThreadPool pool(threads);
-    par.setThreadPool(&pool);
-    auto bursts_copy = bursts;
-    const auto seq_results = seq.sendBursts(std::move(bursts));
-    const auto par_results = par.sendBursts(std::move(bursts_copy));
-    ASSERT_EQ(seq_results.size(), par_results.size());
-    for (std::size_t f = 0; f < seq_results.size(); ++f) {
-      SCOPED_TRACE(cat("flow ", f));
-      expectResultsIdentical(par_results[f], seq_results[f]);
-    }
-    expectEmuStateIdentical(par, seq, topo, *prog);
-    par.setThreadPool(nullptr);
-  }
-};
-
-TEST_F(ParallelEmulation, DisjointFlowsBitIdenticalAcrossThreadCounts) {
-  const auto topo = disjointChains(kFlows);
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE(cat(threads, " threads"));
-    emu::Emulator seq(&topo, 11);
-    emu::Emulator par(&topo, 11);
-    runBoth(threads, makeBursts(topo, kFlows, kPackets, 0xAB5), topo, seq,
-            par);
-  }
-}
-
-TEST_F(ParallelEmulation, SendBurstsMatchesPerBurstSendBurstCalls) {
-  const auto topo = disjointChains(kFlows);
-  emu::Emulator one_by_one(&topo, 11);
-  emu::Emulator batched(&topo, 11);
-  util::ThreadPool pool(8);
-  batched.setThreadPool(&pool);
-  auto prog = aggAndDropThird();
-  for (int f = 0; f < kFlows; ++f) {
-    const int dev = topo.findNode(cat("dev", f));
-    emu::DeploymentEntry e;
-    e.user_id = 1;
-    e.prog = prog;
-    for (std::size_t i = 0; i < prog->instrs.size(); ++i) {
-      e.instr_idxs.push_back(static_cast<int>(i));
-    }
-    e.step_from = 0;
-    e.step_to = 1;
-    one_by_one.deploy(dev, e);
-    batched.deploy(dev, e);
-  }
-  auto bursts = makeBursts(topo, kFlows, kPackets, 0xF00D);
-  auto bursts_copy = bursts;
-  std::vector<std::vector<emu::PacketResult>> seq_results;
-  for (auto& b : bursts) {
-    seq_results.push_back(one_by_one.sendBurst(
-        b.src, b.dst, std::move(b.views), b.wire_bytes, b.useful_bytes));
-  }
-  const auto par_results = batched.sendBursts(std::move(bursts_copy));
-  ASSERT_EQ(par_results.size(), seq_results.size());
-  for (std::size_t f = 0; f < seq_results.size(); ++f) {
-    SCOPED_TRACE(cat("flow ", f));
-    expectResultsIdentical(par_results[f], seq_results[f]);
-  }
-  expectEmuStateIdentical(batched, one_by_one, topo, *prog);
-}
-
-TEST_F(ParallelEmulation, AliasedPathsKeepSequentialOrder) {
-  // Three bursts through ONE shared device: the pool must not reorder
-  // them (the shared accumulator makes order observable), so they fall
-  // back to ordered execution and match the sequential run exactly.
-  const auto topo = topo::Topology::chain({device::makeTofino()});
-  const int client = topo.findNode("client");
-  const int server = topo.findNode("server");
-  const int dev = topo.findNode("d0");
-  auto prog = aggAndDropThird();
-  auto deployTo = [&](emu::Emulator& emu) {
-    emu::DeploymentEntry e;
-    e.user_id = 1;
-    e.prog = prog;
-    for (std::size_t i = 0; i < prog->instrs.size(); ++i) {
-      e.instr_idxs.push_back(static_cast<int>(i));
-    }
-    e.step_from = 0;
-    e.step_to = 1;
-    emu.deploy(dev, e);
-  };
-  auto makeAliased = [&] {
-    std::vector<emu::Burst> bursts;
-    Rng rng(0x1CE);
-    for (int f = 0; f < 3; ++f) {
-      emu::Burst b;
-      b.src = client;
-      b.dst = server;
-      b.wire_bytes = 100;
-      b.useful_bytes = 100;
-      for (int p = 0; p < 20; ++p) {
-        ir::PacketView view;
-        view.user_id = 1;
-        view.setField("hdr.value", rng.nextBelow(1u << 12));
-        b.views.push_back(std::move(view));
-      }
-      bursts.push_back(std::move(b));
-    }
-    return bursts;
-  };
-  emu::Emulator seq(&topo, 7);
-  emu::Emulator par(&topo, 7);
-  util::ThreadPool pool(8);
-  par.setThreadPool(&pool);
-  deployTo(seq);
-  deployTo(par);
-  const auto seq_results = seq.sendBursts(makeAliased());
-  const auto par_results = par.sendBursts(makeAliased());
-  ASSERT_EQ(par_results.size(), seq_results.size());
-  for (std::size_t f = 0; f < seq_results.size(); ++f) {
-    SCOPED_TRACE(cat("burst ", f));
-    expectResultsIdentical(par_results[f], seq_results[f]);
-  }
-  expectEmuStateIdentical(par, seq, topo, *prog);
-}
-
-TEST_F(ParallelEmulation, RandIntDeploymentForcesSequentialFallback) {
-  // A RandInt snippet consumes the shared Rng; parallel bursts would
-  // scramble the draw order, so sendBursts must take the sequential path
-  // and match the pool-free emulator draw for draw.
-  const auto topo = disjointChains(2);
-  auto prog = std::make_shared<ir::IrProgram>();
-  prog->name = "randmark";
-  prog->addField("hdr.value", 32);
-  prog->instrs.push_back(
-      ir::Instruction(ir::Opcode::kRandInt, ir::Operand::var("r", 16),
-                      {ir::Operand::constant(1000, 16)}));
-  auto deployTo = [&](emu::Emulator& emu) {
-    for (int f = 0; f < 2; ++f) {
-      emu::DeploymentEntry e;
-      e.user_id = 1;
-      e.prog = prog;
-      e.instr_idxs = {0};
-      e.step_from = 0;
-      e.step_to = 1;
-      emu.deploy(topo.findNode(cat("dev", f)), e);
-    }
-  };
-  emu::Emulator seq(&topo, 99);
-  emu::Emulator par(&topo, 99);
-  util::ThreadPool pool(8);
-  par.setThreadPool(&pool);
-  deployTo(seq);
-  deployTo(par);
-  const auto seq_results = seq.sendBursts(makeBursts(topo, 2, 32, 0xD1E));
-  const auto par_results = par.sendBursts(makeBursts(topo, 2, 32, 0xD1E));
-  ASSERT_EQ(par_results.size(), seq_results.size());
-  for (std::size_t f = 0; f < seq_results.size(); ++f) {
-    SCOPED_TRACE(cat("flow ", f));
-    expectResultsIdentical(par_results[f], seq_results[f]);
-  }
-}
-
-// --- converging traffic: many-to-one flows through a shared device ---
-//
-// The pipelined sendBursts regime: every flow does private work on its
-// own smartNIC, then meets the others on one aggregation switch. The
-// shared switch serializes (per-device arrival order must be burst
-// order), but NIC stages of different bursts overlap. These suites pin
-// the bit-identity claim for exactly that schedule, across 1/2/8-thread
-// pools, for both the pipelined executor and the pre-pipelining grouped
-// fallback.
 
 // client_i — nic_i (programmable) — shared switch — server.
 topo::Topology convergingTopology(int k) {
@@ -748,26 +536,57 @@ void deployConverging(emu::Emulator& emu, const topo::Topology& topo,
   emu.deploy(topo.findNode("agg"), e);
 }
 
-std::vector<emu::Burst> convergingBursts(const topo::Topology& topo,
-                                         int flows, int packets,
-                                         std::uint64_t seed) {
+// One flow's packets, sent either as one burst or packet by packet.
+struct Flow {
+  int src = -1;
+  int dst = -1;
+  std::vector<ir::PacketView> views;
+  int wire_bytes = 0;
+  int useful_bytes = 0;
+};
+
+std::vector<std::vector<emu::PacketResult>> sendAsBursts(
+    emu::Emulator& emu, std::vector<Flow> flows) {
+  std::vector<std::vector<emu::PacketResult>> out;
+  for (auto& f : flows) {
+    out.push_back(emu.sendBurst(f.src, f.dst, std::move(f.views),
+                                f.wire_bytes, f.useful_bytes));
+  }
+  return out;
+}
+
+std::vector<std::vector<emu::PacketResult>> sendPerPacket(
+    emu::Emulator& emu, std::vector<Flow> flows) {
+  std::vector<std::vector<emu::PacketResult>> out;
+  for (auto& f : flows) {
+    out.emplace_back();
+    for (auto& view : f.views) {
+      out.back().push_back(emu.send(f.src, f.dst, std::move(view),
+                                    f.wire_bytes, f.useful_bytes));
+    }
+  }
+  return out;
+}
+
+std::vector<Flow> convergingFlows(const topo::Topology& topo, int flows,
+                                  int packets, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<emu::Burst> bursts;
+  std::vector<Flow> out;
   for (int f = 0; f < flows; ++f) {
-    emu::Burst b;
-    b.src = topo.findNode(cat("client", f));
-    b.dst = topo.findNode("server");
-    b.wire_bytes = 128;
-    b.useful_bytes = 100;
+    Flow flow;
+    flow.src = topo.findNode(cat("client", f));
+    flow.dst = topo.findNode("server");
+    flow.wire_bytes = 128;
+    flow.useful_bytes = 100;
     for (int p = 0; p < packets; ++p) {
       ir::PacketView view;
       view.user_id = 1;
       view.setField("hdr.value", rng.nextBelow(1u << 16));
-      b.views.push_back(std::move(view));
+      flow.views.push_back(std::move(view));
     }
-    bursts.push_back(std::move(b));
+    out.push_back(std::move(flow));
   }
-  return bursts;
+  return out;
 }
 
 class ConvergingEmulation : public ::testing::Test {
@@ -776,43 +595,38 @@ class ConvergingEmulation : public ::testing::Test {
   static constexpr int kPackets = 48;
 
   static void expectAllIdentical(
-      const std::vector<std::vector<emu::PacketResult>>& par,
-      const std::vector<std::vector<emu::PacketResult>>& seq) {
-    ASSERT_EQ(par.size(), seq.size());
-    for (std::size_t f = 0; f < seq.size(); ++f) {
-      SCOPED_TRACE(cat("burst ", f));
-      expectResultsIdentical(par[f], seq[f]);
+      const std::vector<std::vector<emu::PacketResult>>& a,
+      const std::vector<std::vector<emu::PacketResult>>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t f = 0; f < b.size(); ++f) {
+      SCOPED_TRACE(cat("flow ", f));
+      expectResultsIdentical(a[f], b[f]);
     }
   }
 };
 
-TEST_F(ConvergingEmulation, ManyToOneBitIdenticalAcrossThreadCounts) {
+TEST_F(ConvergingEmulation, ManyToOneBurstsMatchPerPacketSends) {
   const auto topo = convergingTopology(kFlows);
   auto nic_prog = nicCompress();
   auto sw_prog = aggAndDropThird();
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE(cat(threads, " threads"));
-    emu::Emulator seq(&topo, 5);
-    emu::Emulator par(&topo, 5);
-    deployConverging(seq, topo, kFlows, nic_prog, sw_prog);
-    deployConverging(par, topo, kFlows, nic_prog, sw_prog);
-    util::ThreadPool pool(threads);
-    par.setThreadPool(&pool);
-    const auto seq_results =
-        seq.sendBursts(convergingBursts(topo, kFlows, kPackets, 0xC0F));
-    const auto par_results =
-        par.sendBursts(convergingBursts(topo, kFlows, kPackets, 0xC0F));
-    expectAllIdentical(par_results, seq_results);
-    expectEmuStateIdentical(par, seq, topo, *sw_prog);
-    expectEmuStateIdentical(par, seq, topo, *nic_prog);
-  }
+  emu::Emulator burst(&topo, 5);
+  emu::Emulator single(&topo, 5);
+  deployConverging(burst, topo, kFlows, nic_prog, sw_prog);
+  deployConverging(single, topo, kFlows, nic_prog, sw_prog);
+  const auto burst_results =
+      sendAsBursts(burst, convergingFlows(topo, kFlows, kPackets, 0xC0F));
+  const auto single_results =
+      sendPerPacket(single, convergingFlows(topo, kFlows, kPackets, 0xC0F));
+  expectAllIdentical(burst_results, single_results);
+  expectEmuStateIdentical(burst, single, topo, *sw_prog, false);
+  expectEmuStateIdentical(burst, single, topo, *nic_prog, false);
 }
 
-TEST_F(ConvergingEmulation, MlaggManyToOneAggregationBitIdentical) {
+TEST_F(ConvergingEmulation, MlaggManyToOneAggregationMatchesPerPacketSends) {
   // The real MLAgg template on the shared switch: per-flow gradients
   // converge on one aggregator array; drops (absorbed gradients),
-  // send-backs (completed aggregates), and the register state are all
-  // part of the bit-identity claim.
+  // send-backs (completed aggregates), and the register state must all
+  // match per-packet sends.
   const auto topo = convergingTopology(kFlows);
   auto nic_prog = nicCompress();
   modules::ModuleLibrary lib;
@@ -821,15 +635,15 @@ TEST_F(ConvergingEmulation, MlaggManyToOneAggregationBitIdentical) {
                                              {"Dim", 4},
                                              {"NumWorker", 2},
                                              {"IsConvert", 0}}));
-  auto makeMlaggBursts = [&] {
+  auto makeMlaggFlows = [&] {
     Rng rng(0xA99);
-    std::vector<emu::Burst> bursts;
+    std::vector<Flow> flows;
     for (int f = 0; f < kFlows; ++f) {
-      emu::Burst b;
-      b.src = topo.findNode(cat("client", f));
-      b.dst = topo.findNode("server");
-      b.wire_bytes = 160;
-      b.useful_bytes = 128;
+      Flow flow;
+      flow.src = topo.findNode(cat("client", f));
+      flow.dst = topo.findNode("server");
+      flow.wire_bytes = 160;
+      flow.useful_bytes = 128;
       for (int p = 0; p < kPackets; ++p) {
         ir::PacketView view;
         view.user_id = 1;
@@ -841,32 +655,37 @@ TEST_F(ConvergingEmulation, MlaggManyToOneAggregationBitIdentical) {
         for (int d = 0; d < 4; ++d) {
           view.setField(cat("hdr.data.", d), rng.nextBelow(1u << 10));
         }
-        b.views.push_back(std::move(view));
+        flow.views.push_back(std::move(view));
       }
-      bursts.push_back(std::move(b));
+      flows.push_back(std::move(flow));
     }
-    return bursts;
+    return flows;
   };
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE(cat(threads, " threads"));
-    emu::Emulator seq(&topo, 13);
-    emu::Emulator par(&topo, 13);
-    deployConverging(seq, topo, kFlows, nic_prog, mlagg);
-    deployConverging(par, topo, kFlows, nic_prog, mlagg);
-    util::ThreadPool pool(threads);
-    par.setThreadPool(&pool);
-    const auto seq_results = seq.sendBursts(makeMlaggBursts());
-    const auto par_results = par.sendBursts(makeMlaggBursts());
-    expectAllIdentical(par_results, seq_results);
-    expectEmuStateIdentical(par, seq, topo, *mlagg);
-    expectEmuStateIdentical(par, seq, topo, *nic_prog);
+  emu::Emulator burst(&topo, 13);
+  emu::Emulator single(&topo, 13);
+  deployConverging(burst, topo, kFlows, nic_prog, mlagg);
+  deployConverging(single, topo, kFlows, nic_prog, mlagg);
+  const auto burst_results = sendAsBursts(burst, makeMlaggFlows());
+  const auto single_results = sendPerPacket(single, makeMlaggFlows());
+  expectAllIdentical(burst_results, single_results);
+  expectEmuStateIdentical(burst, single, topo, *mlagg, false);
+  expectEmuStateIdentical(burst, single, topo, *nic_prog, false);
+  // Several sources really converged: the switch absorbed gradients and
+  // returned completed aggregates.
+  std::uint64_t dropped = 0, bounced = 0;
+  for (const auto& flow : burst_results) {
+    for (const auto& r : flow) {
+      dropped += r.dropped ? 1 : 0;
+      bounced += r.bounced ? 1 : 0;
+    }
   }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(bounced, 0u);
 }
 
-TEST_F(ConvergingEmulation, PartiallyOverlappingPathsKeepDeviceOrder) {
+TEST_F(ConvergingEmulation, PartiallyOverlappingPathsMatchPerPacketSends) {
   // h0 -> A -> B -> C -> h1, with extra sources entering at B and C:
-  // bursts share devices at *different* hop indices, exercising the
-  // staggered cross-burst ordering edges of the segment DAG.
+  // flows share devices at *different* hop indices.
   topo::Topology t;
   topo::Node h0, h1, hb, hc;
   h0.name = "h0";
@@ -910,59 +729,33 @@ TEST_F(ConvergingEmulation, PartiallyOverlappingPathsKeepDeviceOrder) {
   };
   auto makeStaggered = [&] {
     Rng rng(0x57A6);
-    std::vector<emu::Burst> bursts;
-    const std::pair<int, int> flows[] = {
+    std::vector<Flow> flows;
+    const std::pair<int, int> ends[] = {
         {id_h0, id_h1}, {id_hb, id_h1}, {id_hc, id_h1}, {id_h0, id_h1}};
-    for (const auto& [src, dst] : flows) {
-      emu::Burst b;
-      b.src = src;
-      b.dst = dst;
-      b.wire_bytes = 96;
-      b.useful_bytes = 64;
+    for (const auto& [src, dst] : ends) {
+      Flow flow;
+      flow.src = src;
+      flow.dst = dst;
+      flow.wire_bytes = 96;
+      flow.useful_bytes = 64;
       for (int p = 0; p < 24; ++p) {
         ir::PacketView view;
         view.user_id = 1;
         view.setField("hdr.value", rng.nextBelow(1u << 14));
-        b.views.push_back(std::move(view));
+        flow.views.push_back(std::move(view));
       }
-      bursts.push_back(std::move(b));
+      flows.push_back(std::move(flow));
     }
-    return bursts;
+    return flows;
   };
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE(cat(threads, " threads"));
-    emu::Emulator seq(&t, 21);
-    emu::Emulator par(&t, 21);
-    deployTo(seq);
-    deployTo(par);
-    util::ThreadPool pool(threads);
-    par.setThreadPool(&pool);
-    const auto seq_results = seq.sendBursts(makeStaggered());
-    const auto par_results = par.sendBursts(makeStaggered());
-    expectAllIdentical(par_results, seq_results);
-    expectEmuStateIdentical(par, seq, t, *prog);
-  }
-}
-
-TEST_F(ConvergingEmulation, PipelineKnobOffFallsBackToGroupedPath) {
-  // pipeline_bursts == false must reproduce the pre-pipelining executor:
-  // still bit-identical to sequential (aliasing bursts serialize whole).
-  const auto topo = convergingTopology(kFlows);
-  auto nic_prog = nicCompress();
-  auto sw_prog = aggAndDropThird();
-  emu::Emulator seq(&topo, 31);
-  emu::Emulator par(&topo, 31);
-  deployConverging(seq, topo, kFlows, nic_prog, sw_prog);
-  deployConverging(par, topo, kFlows, nic_prog, sw_prog);
-  par.setOptions({.fuse_plans = true, .pipeline_bursts = false});
-  util::ThreadPool pool(8);
-  par.setThreadPool(&pool);
-  const auto seq_results =
-      seq.sendBursts(convergingBursts(topo, kFlows, kPackets, 0x9A7));
-  const auto par_results =
-      par.sendBursts(convergingBursts(topo, kFlows, kPackets, 0x9A7));
-  expectAllIdentical(par_results, seq_results);
-  expectEmuStateIdentical(par, seq, topo, *sw_prog);
+  emu::Emulator burst(&t, 21);
+  emu::Emulator single(&t, 21);
+  deployTo(burst);
+  deployTo(single);
+  const auto burst_results = sendAsBursts(burst, makeStaggered());
+  const auto single_results = sendPerPacket(single, makeStaggered());
+  expectAllIdentical(burst_results, single_results);
+  expectEmuStateIdentical(burst, single, t, *prog, false);
 }
 
 TEST_F(ConvergingEmulation, FusionKnobDoesNotChangeEmulation) {
@@ -973,13 +766,13 @@ TEST_F(ConvergingEmulation, FusionKnobDoesNotChangeEmulation) {
   auto sw_prog = aggAndDropThird();
   emu::Emulator fused(&topo, 17);
   emu::Emulator plain(&topo, 17);
-  plain.setOptions({.fuse_plans = false, .pipeline_bursts = true});
+  plain.setOptions({.fuse_plans = false});
   deployConverging(fused, topo, kFlows, nic_prog, sw_prog);
   deployConverging(plain, topo, kFlows, nic_prog, sw_prog);
   const auto fused_results =
-      fused.sendBursts(convergingBursts(topo, kFlows, kPackets, 0xFA5));
+      sendAsBursts(fused, convergingFlows(topo, kFlows, kPackets, 0xFA5));
   const auto plain_results =
-      plain.sendBursts(convergingBursts(topo, kFlows, kPackets, 0xFA5));
+      sendAsBursts(plain, convergingFlows(topo, kFlows, kPackets, 0xFA5));
   expectAllIdentical(fused_results, plain_results);
   expectEmuStateIdentical(fused, plain, topo, *sw_prog);
 }

@@ -145,7 +145,8 @@ TEST(IntraDevice, CompactPlacementValidates) {
 
 TEST(IntraDevice, RespectsMinStage) {
   const auto prog = dqaccProgram();
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
@@ -159,13 +160,15 @@ TEST(IntraDevice, InfeasibleWhenUnsupportedClass) {
   modules::ModuleLibrary lib;
   const auto prog = lib.compileTemplate(
       "KVS", "kvs", {{"CacheSize", 128}, {"ValDim", 2}, {"TH", 4}});
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
   }
   EXPECT_FALSE(placeCompact(occ, prog, all).feasible);  // BSEM on Tofino
-  const auto nfp_occ = DeviceOccupancy::fresh(device::makeNfp());
+  const auto nfp = device::makeNfp();
+  const auto nfp_occ = DeviceOccupancy::fresh(nfp);
   EXPECT_TRUE(placeCompact(nfp_occ, prog, all).feasible);
 }
 
@@ -186,7 +189,8 @@ TEST(IntraDevice, CommitReducesCapacity) {
 
 TEST(IntraDevice, ExhaustiveMatchesCompactFeasibility) {
   const auto prog = dqaccProgram();
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
@@ -528,7 +532,8 @@ TEST(OccupancyFingerprint, EqualStatesHashEqual) {
   const auto b = DeviceOccupancy::fresh(model);
   EXPECT_EQ(occupancyFingerprint(a), occupancyFingerprint(b));
   // Different models differ.
-  const auto nfp = DeviceOccupancy::fresh(device::makeNfp());
+  const auto nfp_model = device::makeNfp();
+  const auto nfp = DeviceOccupancy::fresh(nfp_model);
   EXPECT_NE(occupancyFingerprint(a), occupancyFingerprint(nfp));
 }
 

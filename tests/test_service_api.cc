@@ -1,6 +1,5 @@
 // The tenant-facing submission API: structured errors with the right
-// code/stage per failure cause, the request/ticket/commit lifecycle, and
-// the deprecated shims' equivalence with the SubmitRequest path.
+// code/stage per failure cause and the request/ticket/commit lifecycle.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -272,37 +271,6 @@ TEST(ServiceLifecycle, SubmitProgramPayloadKeepsCallerName) {
   ASSERT_TRUE(r.ok) << r.error.message();
   EXPECT_EQ(svc.deployments().at(r.user_id).prog->name, "my_own_name");
 }
-
-// --- legacy shims -------------------------------------------------------
-
-// The deprecated overloads must stay behaviorally identical to the
-// SubmitRequest path while the ecosystem migrates. This block opts into
-// the deprecated API on purpose; everything else builds clean under
-// -DCLICKINC_WERROR_DEPRECATED=ON (the no-legacy-api CI job).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServiceLegacyShims, TemplateShimMatchesSubmitRequest) {
-  ClickIncService a(topo::Topology::paperEmulation());
-  ClickIncService b(topo::Topology::paperEmulation());
-  const auto ra = a.submitTemplate("DQAcc",
-                                   {{"CacheDepth", 128}, {"CacheLen", 2}},
-                                   trafficFor(a, {"pod0a"}, "pod2b"));
-  const auto rb = b.submit(dqaccRequest(b));
-  ASSERT_TRUE(ra.ok) << ra.error.message();
-  ASSERT_TRUE(rb.ok) << rb.error.message();
-  EXPECT_EQ(ra.user_id, rb.user_id);
-  EXPECT_EQ(ra.plan.gain, rb.plan.gain);
-  EXPECT_EQ(ra.impact.affected_devices, rb.impact.affected_devices);
-}
-
-TEST(ServiceLegacyShims, ShimReportsStructuredErrors) {
-  ClickIncService svc(topo::Topology::paperEmulation());
-  const auto r = svc.submitTemplate("NoSuchTemplate", {},
-                                    trafficFor(svc, {"pod0a"}, "pod2b"));
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error.code, ErrorCode::kUnknownTemplate);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace clickinc::core
