@@ -200,7 +200,7 @@ synth::DeviceProgram& ClickIncService::deviceProgram(int node) {
   if (it == device_programs_.end()) {
     it = device_programs_
              .emplace(node, std::make_unique<synth::DeviceProgram>(
-                                &base_, &topo_.node(node).model))
+                                &base_, &topology().node(node).model))
              .first;
   }
   return *it->second;
@@ -514,6 +514,7 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
   }
   touchDevicesLocked(planDevices(it->second.plan));
   deployed_.erase(it);
+  releaseUnusedPlansLocked();
   out.ok = true;
 }
 
@@ -1145,13 +1146,17 @@ verify::VerifyReport ClickIncService::auditLocked(
 }
 
 void ClickIncService::wipeDeviceLocked(int node) {
-  const auto& n = topo_.node(node);
+  const auto& n = topology().node(node);
   if (n.programmable) {
     occ_.of(node) = place::DeviceOccupancy::fresh(n.model);
   }
   emu_.undeployDevice(node);
   device_programs_.erase(node);
   touchDevicesLocked({node});
+}
+
+void ClickIncService::releaseUnusedPlansLocked() {
+  if (!replaying_) plan_cache_.prune();
 }
 
 FailoverReport ClickIncService::handleEventsLocked() {
@@ -1298,7 +1303,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
           any_path = true;
           for (int n : p) {
             on_path.insert(n);
-            const int accel = topo_.node(n).attached_accel;
+            const int accel = topology().node(n).attached_accel;
             if (accel >= 0) on_path.insert(accel);
           }
         }
@@ -1326,6 +1331,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
   for (int user : affected) {
     report.tenants.push_back(recoverTenantLocked(user, eff));
   }
+  releaseUnusedPlansLocked();
 
   // Post-failover audit: re-placement, rollback, and device wipes all
   // mutated plans and the ledger; verify every surviving deployment
@@ -1615,8 +1621,11 @@ ClickIncService::SwapResult ClickIncService::applyMigrationLocked(
     for (const auto& [dev, p] : a.on_bypass) release(dev, p);
   }
   touchDevicesLocked(planDevices(old.plan));
-  return swapPlanLocked(user, old, new_plan, /*incremental=*/true,
-                        [](int) { return true; }, stage);
+  const SwapResult res =
+      swapPlanLocked(user, old, new_plan, /*incremental=*/true,
+                     [](int) { return true; }, stage);
+  releaseUnusedPlansLocked();
+  return res;
 }
 
 DefragReport ClickIncService::defragmentLocked(
@@ -2154,6 +2163,7 @@ RecoveryReport ClickIncService::recover(durable::JournalSink* sink) {
     }
     if (!scan.records.empty()) journal_seq_ = scan.records.back().seq;
     replaying_ = false;
+    releaseUnusedPlansLocked();
     // Drop the torn tail (and a corrupt header) so appends resume right
     // after the replayed prefix; then attach.
     if (scan.torn) sink->truncate(scan.clean_end);
@@ -2190,7 +2200,7 @@ std::set<int> ClickIncService::podsCrossing(
     const std::set<int>& devices) const {
   std::set<int> pods;
   for (int d : devices) {
-    const auto& node = topo_.node(d);
+    const auto& node = topology().node(d);
     if (node.pod >= 0) {
       pods.insert(node.pod);
     } else {

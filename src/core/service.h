@@ -382,6 +382,11 @@ class ClickIncService {
   // Device death or reboot: fresh occupancy, no device program, no
   // emulator entries or state.
   void wipeDeviceLocked(int node);
+  // Erases the exec plans no deployment holds any more (a removed
+  // tenant's, a swap's replaced segments'). Skipped while replaying:
+  // recover() redeploys the journal's tenants from plans the emulator
+  // reset let go, then prunes once.
+  void releaseUnusedPlansLocked();
   // Re-places one affected tenant against the degraded topology. `eff` is
   // the effective health view (flap-damped heals masked out).
   TenantRecovery recoverTenantLocked(int user, const topo::HealthView& eff);

@@ -20,11 +20,13 @@ FaultInjector::FaultInjector(topo::Topology* topo, std::uint64_t seed,
 
 FaultAction FaultInjector::propose() {
   // Candidates are enumerated in node/link order, so the choice is a pure
-  // function of (seed position, health state).
+  // function of (seed position, health state). Reads go through a const
+  // view, which leaves the topology's partition memo alone.
+  const topo::Topology& topo = *topo_;
   std::vector<FaultAction> kills, heals;
   int non_up = 0;
-  for (int i = 0; i < topo_->nodeCount(); ++i) {
-    const topo::Health h = topo_->nodeHealth(i);
+  for (int i = 0; i < topo.nodeCount(); ++i) {
+    const topo::Health h = topo.nodeHealth(i);
     if (h != topo::Health::kUp) {
       ++non_up;
       FaultAction a;
@@ -33,7 +35,7 @@ FaultAction FaultInjector::propose() {
       heals.push_back(a);
       continue;
     }
-    if (opts_.spare_hosts && topo_->node(i).kind == topo::NodeKind::kHost) {
+    if (opts_.spare_hosts && topo.node(i).kind == topo::NodeKind::kHost) {
       continue;
     }
     FaultAction a;
@@ -46,19 +48,19 @@ FaultAction FaultInjector::propose() {
     }
   }
   if (opts_.allow_links) {
-    for (const auto& l : topo_->links()) {
+    for (const auto& l : topo.links()) {
       FaultAction a;
       a.link_a = l.a;
       a.link_b = l.b;
-      if (topo_->linkHealth(l.a, l.b) == topo::Health::kDown) {
+      if (topo.linkHealth(l.a, l.b) == topo::Health::kDown) {
         ++non_up;
         a.kind = FaultAction::Kind::kHealLink;
         heals.push_back(a);
         continue;
       }
       if (opts_.spare_hosts &&
-          (topo_->node(l.a).kind == topo::NodeKind::kHost ||
-           topo_->node(l.b).kind == topo::NodeKind::kHost)) {
+          (topo.node(l.a).kind == topo::NodeKind::kHost ||
+           topo.node(l.b).kind == topo::NodeKind::kHost)) {
         continue;
       }
       a.kind = FaultAction::Kind::kKillLink;

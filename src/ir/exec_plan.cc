@@ -988,4 +988,10 @@ std::shared_ptr<const ExecPlan> ExecPlanCache::get(
   return plan;
 }
 
+void ExecPlanCache::prune() {
+  std::erase_if(plans_, [](const auto& entry) {
+    return entry.second.use_count() == 1;
+  });
+}
+
 }  // namespace clickinc::ir

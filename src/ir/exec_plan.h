@@ -223,6 +223,8 @@ class ExecPlan {
 // Fingerprint-keyed plan memo shared across deployments. Like the
 // placement memo it is capped and cleared wholesale; entries are
 // shared_ptr so a clear never invalidates plans already handed out.
+// Fingerprints cover user-prefixed state names, so a departed tenant's
+// plans never match again: its owner prunes what no deployment holds.
 // Keys cover the compile options alongside the content fingerprint, so
 // toggling fusion between deployments can never serve a plan compiled
 // under the other setting.
@@ -248,6 +250,8 @@ class ExecPlanCache {
   const Stats& stats() const { return stats_; }
   std::size_t size() const { return plans_.size(); }
   void clear() { plans_.clear(); }
+  // Erases the plans nobody outside the cache holds (use_count() == 1).
+  void prune();
 
  private:
   // fingerprint[0], fingerprint[1], option bits.

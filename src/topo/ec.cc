@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "util/crc.h"
@@ -11,10 +10,17 @@
 
 namespace clickinc::topo {
 
-std::vector<int> equivalenceClasses(const Topology& topo,
-                                    const HealthView* health) {
-  const HealthView hv = health ? *health : topo.healthView();
-  // Down links are rare; precompute a per-node mask of severed neighbors.
+namespace {
+
+// Colour refinement over flat buffers: a CSR list of live edges built
+// once, one reused scratch vector for neighbour colours, and distinct-
+// colour counts taken from a sorted copy. The hash sequence is the one
+// the partition has always used, so class ids are stable.
+std::vector<int> refineClasses(const Topology& topo, const HealthView& hv) {
+  const int n = topo.nodeCount();
+  const auto un = static_cast<std::size_t>(n);
+  // Down links are rare; their endpoint pairs are sorted for lookup while
+  // the edge list is built.
   std::vector<std::pair<int, int>> down_pairs;
   const auto& links = topo.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
@@ -23,17 +29,28 @@ std::vector<int> equivalenceClasses(const Topology& topo,
                               std::max(links[i].a, links[i].b));
     }
   }
-  auto edgeUp = [&](int a, int b) {
-    if (hv.nodeAt(a) == Health::kDown || hv.nodeAt(b) == Health::kDown) {
-      return false;
+  std::sort(down_pairs.begin(), down_pairs.end());
+  // Live edges in adjacency order: a Down node or link on either side
+  // severs the edge, so a switch that lost its uplink is wired
+  // differently from one that kept it.
+  std::vector<std::size_t> first(un + 1, 0);
+  std::vector<int> live;
+  live.reserve(2 * links.size());
+  for (int i = 0; i < n; ++i) {
+    first[static_cast<std::size_t>(i)] = live.size();
+    if (hv.nodeAt(i) == Health::kDown) continue;
+    for (int j : topo.neighbors(i)) {
+      if (hv.nodeAt(j) == Health::kDown) continue;
+      const auto key = std::make_pair(std::min(i, j), std::max(i, j));
+      if (std::binary_search(down_pairs.begin(), down_pairs.end(), key)) {
+        continue;
+      }
+      live.push_back(j);
     }
-    if (down_pairs.empty()) return true;
-    const auto key = std::make_pair(std::min(a, b), std::max(a, b));
-    return std::find(down_pairs.begin(), down_pairs.end(), key) ==
-           down_pairs.end();
-  };
-  const int n = topo.nodeCount();
-  std::vector<std::uint64_t> color(static_cast<std::size_t>(n));
+  }
+  first[un] = live.size();
+
+  std::vector<std::uint64_t> color(un);
   // Initial colors: hosts are unique (they anchor distinct traffic
   // endpoints); devices start from (kind, layer, health, model,
   // bypass-model). Health kUp contributes 0, keeping the all-healthy
@@ -54,42 +71,90 @@ std::vector<int> equivalenceClasses(const Topology& topo,
       color[static_cast<std::size_t>(i)] = c;
     }
   }
+  // Sorted distinct colors of `color`, kept current across rounds.
+  auto distinctOf = [](const std::vector<std::uint64_t>& c,
+                       std::vector<std::uint64_t>* out) {
+    out->assign(c.begin(), c.end());
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  };
+  std::vector<std::uint64_t> distinct, next_distinct;
+  distinctOf(color, &distinct);
+
   // Refine: new color = hash(old, sorted neighbor colors). Fixpoint in at
-  // most n rounds; fat-trees converge in a handful. Severed edges (Down
-  // node or link on either side) do not contribute: a switch that lost its
-  // uplink is wired differently from one that kept it.
+  // most n rounds; fat-trees converge in a handful.
+  std::vector<std::uint64_t> next(un);
+  std::vector<std::uint64_t> nb;  // reused: grows to the largest degree once
   for (int round = 0; round < n; ++round) {
-    std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      std::vector<std::uint64_t> nb;
-      for (int j : topo.neighbors(i)) {
-        if (!edgeUp(i, j)) continue;
-        nb.push_back(color[static_cast<std::size_t>(j)]);
+    for (std::size_t i = 0; i < un; ++i) {
+      nb.clear();
+      for (std::size_t e = first[i]; e < first[i + 1]; ++e) {
+        nb.push_back(color[static_cast<std::size_t>(live[e])]);
       }
       std::sort(nb.begin(), nb.end());
-      std::uint64_t c = color[static_cast<std::size_t>(i)];
+      std::uint64_t c = color[i];
       for (std::uint64_t x : nb) c = mix64(c ^ x);
-      next[static_cast<std::size_t>(i)] = c;
+      next[i] = c;
     }
     if (next == color) break;
-    bool changed = false;
-    // Count distinct colors before/after to detect stabilization.
-    std::set<std::uint64_t> before(color.begin(), color.end());
-    std::set<std::uint64_t> after(next.begin(), next.end());
-    changed = before.size() != after.size();
-    color = std::move(next);
+    // Stabilized once the number of distinct colors stops growing.
+    distinctOf(next, &next_distinct);
+    const bool changed = distinct.size() != next_distinct.size();
+    color.swap(next);
+    distinct.swap(next_distinct);
     if (!changed && round > 0) break;
   }
-  // Compact to contiguous ids.
-  std::map<std::uint64_t, int> ids;
-  std::vector<int> ec(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto [it, inserted] = ids.emplace(color[static_cast<std::size_t>(i)],
-                                      static_cast<int>(ids.size()));
-    ec[static_cast<std::size_t>(i)] = it->second;
-    (void)inserted;
+  // Compact to contiguous ids in order of first appearance.
+  std::vector<int> id_of_rank(distinct.size(), -1);
+  int next_id = 0;
+  std::vector<int> ec(un);
+  for (std::size_t i = 0; i < un; ++i) {
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), color[i]) -
+        distinct.begin());
+    if (id_of_rank[rank] < 0) id_of_rank[rank] = next_id++;
+    ec[i] = id_of_rank[rank];
   }
   return ec;
+}
+
+// The entries of a health vector that are not Up, in index order: the
+// memo's key, under which an empty vector and an all-Up one are equal.
+std::vector<std::pair<int, Health>> notUp(const std::vector<Health>& v) {
+  std::vector<std::pair<int, Health>> out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != Health::kUp) out.emplace_back(static_cast<int>(i), v[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::shared_ptr<const std::vector<int>> Topology::ecPartition(
+    const HealthView& health) const {
+  auto node = notUp(health.node);
+  auto link = notUp(health.link);
+  {
+    std::lock_guard<std::mutex> lock(ec_memo_.mu);
+    if (ec_memo_.ec != nullptr && ec_memo_.node == node &&
+        ec_memo_.link == link) {
+      return ec_memo_.ec;
+    }
+  }
+  // Computed outside the lock: concurrent misses on the same state do the
+  // work twice and store equal partitions.
+  auto ec = std::make_shared<const std::vector<int>>(
+      refineClasses(*this, health));
+  std::lock_guard<std::mutex> lock(ec_memo_.mu);
+  ec_memo_.node = std::move(node);
+  ec_memo_.link = std::move(link);
+  ec_memo_.ec = ec;
+  return ec;
+}
+
+std::vector<int> equivalenceClasses(const Topology& topo,
+                                    const HealthView* health) {
+  return *topo.ecPartition(health ? *health : topo.healthView());
 }
 
 std::vector<int> EcTree::clientLeaves() const {
@@ -108,7 +173,8 @@ EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
   CLICKINC_CHECK(!spec.sources.empty() && spec.dst_host >= 0,
                  "traffic spec needs sources and a destination");
   const HealthView hv = health ? *health : topo.healthView();
-  const std::vector<int> ec = equivalenceClasses(topo, &hv);
+  const auto partition = topo.ecPartition(hv);
+  const std::vector<int>& ec = *partition;
 
   // Programmable path of each source: node ids sans hosts, mapped to EC
   // sequences with consecutive duplicates removed. Paths route around Down

@@ -18,6 +18,8 @@ namespace clickinc::topo {
 // `health` (snapshot, nullptr = live topology health) keeps Down elements
 // from merging with their healthy twins: a dead ToR is not a replica of an
 // alive one. With everything Up the partition is identical to before.
+// Served from the topology's partition memo (Topology::ecPartition), so
+// repeated calls under one health state refine once.
 std::vector<int> equivalenceClasses(const Topology& topo,
                                     const HealthView* health = nullptr);
 

@@ -29,6 +29,7 @@ const char* healthName(Health h) {
 }
 
 int Topology::addNode(Node n) {
+  ec_memo_.clear();
   n.id = static_cast<int>(nodes_.size());
   nodes_.push_back(std::move(n));
   adj_.emplace_back();
@@ -39,10 +40,23 @@ int Topology::addNode(Node n) {
 void Topology::addLink(int a, int b, double gbps, double latency_ns) {
   CLICKINC_CHECK(a >= 0 && a < nodeCount() && b >= 0 && b < nodeCount(),
                  "bad link endpoints");
+  ec_memo_.clear();
   links_.push_back({a, b, gbps, latency_ns});
   link_health_.push_back(Health::kUp);
   adj_[static_cast<std::size_t>(a)].push_back(b);
   adj_[static_cast<std::size_t>(b)].push_back(a);
+}
+
+Node& Topology::node(int id) {
+  ec_memo_.clear();
+  return nodes_.at(static_cast<std::size_t>(id));
+}
+
+void Topology::PartitionMemo::clear() {
+  std::lock_guard<std::mutex> lock(mu);
+  node.clear();
+  link.clear();
+  ec.reset();
 }
 
 const Link* Topology::linkBetween(int a, int b) const {

@@ -3,7 +3,10 @@
 // chain shapes the paper evaluates (Fig. 11 emulation topology included).
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "device/model.h"
@@ -88,7 +91,9 @@ class Topology {
   void addLink(int a, int b, double gbps = 100.0, double latency_ns = 1000.0);
 
   const Node& node(int id) const { return nodes_.at(static_cast<std::size_t>(id)); }
-  Node& node(int id) { return nodes_.at(static_cast<std::size_t>(id)); }
+  // Mutable access drops the partition memo: a node's kind, layer, model
+  // and bypass card all seed its equivalence class.
+  Node& node(int id);
   int nodeCount() const { return static_cast<int>(nodes_.size()); }
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<Link>& links() const { return links_; }
@@ -138,6 +143,17 @@ class Topology {
   // recover() starts from so kHealth records reproduce exact versions.
   void resetHealth();
 
+  // Equivalence-class partition under `health` (see topo/ec.h), memoized
+  // on the topology. The memo holds one entry keyed on the health
+  // *content* — node and link vectors, empty meaning all Up — not on
+  // HealthView::version, since an effective view that masks deferred
+  // heals carries the live version number. A miss recomputes and replaces
+  // the entry. addNode, addLink and the non-const node() clear it, and a
+  // copied Topology starts empty. Thread-safe for concurrent const
+  // callers. Defined in ec.cc beside the refinement.
+  std::shared_ptr<const std::vector<int>> ecPartition(
+      const HealthView& health) const;
+
   // --- builders ---
 
   // Straight chain: host - d1 - d2 - ... - dn - host (Table 4 / Fig. 14).
@@ -170,6 +186,24 @@ class Topology {
   std::uint64_t health_version_ = 0;
   int down_nodes_ = 0;  // counts of kDown entries, kept so the fully-
   int down_links_ = 0;  // healthy fast path can delegate to shortestPath
+
+  // The ecPartition memo. Copying or assigning yields an empty memo, so a
+  // Topology never serves a partition computed on other wiring.
+  struct PartitionMemo {
+    PartitionMemo() = default;
+    PartitionMemo(const PartitionMemo&) {}
+    PartitionMemo& operator=(const PartitionMemo&) {
+      clear();
+      return *this;
+    }
+    void clear();
+
+    std::mutex mu;
+    // Key: the (index, health) pairs that are not Up.
+    std::vector<std::pair<int, Health>> node, link;
+    std::shared_ptr<const std::vector<int>> ec;
+  };
+  mutable PartitionMemo ec_memo_;
 };
 
 }  // namespace clickinc::topo

@@ -271,37 +271,56 @@ void checkOccupancy(const std::vector<TenantView>& tenants,
   auto inScope = [&](int d) {
     return opts.scope_devices.empty() || opts.scope_devices.count(d) != 0;
   };
-  for (int d = 0; d < static_cast<int>(topo.nodes().size()); ++d) {
+  const int node_count = static_cast<int>(topo.nodes().size());
+  // Zeroed claim totals for one device, sized like its ledger entry.
+  auto emptyClaims = [](const device::DeviceModel& model) {
+    place::DeviceOccupancy claims;
+    claims.model = &model;
+    if (model.arch == device::Arch::kPipeline) {
+      claims.free_stage.assign(static_cast<std::size_t>(model.num_stages),
+                               {});
+    }
+    return claims;
+  };
+
+  // Re-derive every device's total claims from the tenants' plans with
+  // the exact commitPlacement accounting (per-placement state-site dedup,
+  // block-rounded storage), in one walk bucketed by device. Placements on
+  // nonexistent, non-programmable or out-of-scope devices, and invalid
+  // ones, claim nothing here (other checks report them).
+  std::vector<place::DeviceOccupancy> claims_of(
+      static_cast<std::size_t>(node_count));
+  for (const auto& t : tenants) {
+    forEachPlacement(*t.plan, [&](int seg, int dev,
+                                  const place::IntraPlacement& p) {
+      (void)seg;
+      if (dev < 0 || dev >= node_count || !inScope(dev)) return;
+      const auto& node = topo.node(dev);
+      if (!node.programmable || !placementValid(*t.prog, p, node.model)) {
+        return;
+      }
+      ++out->checks;
+      auto& claims = claims_of[static_cast<std::size_t>(dev)];
+      if (claims.model == nullptr) claims = emptyClaims(node.model);
+      const auto c = place::placementClaims(*t.prog, p, node.model);
+      if (node.model.arch == device::Arch::kPipeline) {
+        for (std::size_t s = 0; s < claims.free_stage.size(); ++s) {
+          claims.free_stage[s].add(c.free_stage[s]);
+        }
+      } else {
+        claims.free_whole.add(c.free_whole);
+      }
+    });
+  }
+
+  for (int d = 0; d < node_count; ++d) {
     const auto& node = topo.node(d);
     if (!node.programmable || !inScope(d)) continue;
     const auto& model = node.model;
     const bool pipeline = model.arch == device::Arch::kPipeline;
-
-    // Re-derive the device's total claims from every tenant's plan with
-    // the exact commitPlacement accounting (per-placement state-site
-    // dedup, block-rounded storage).
-    place::DeviceOccupancy claims;
-    claims.model = &model;
-    if (pipeline) {
-      claims.free_stage.assign(static_cast<std::size_t>(model.num_stages),
-                               {});
-    }
-    for (const auto& t : tenants) {
-      forEachPlacement(*t.plan, [&](int seg, int dev,
-                                    const place::IntraPlacement& p) {
-        (void)seg;
-        if (dev != d || !placementValid(*t.prog, p, model)) return;
-        ++out->checks;
-        const auto c = place::placementClaims(*t.prog, p, model);
-        if (pipeline) {
-          for (std::size_t s = 0; s < claims.free_stage.size(); ++s) {
-            claims.free_stage[s].add(c.free_stage[s]);
-          }
-        } else {
-          claims.free_whole.add(c.free_whole);
-        }
-      });
-    }
+    // A device no placement touches is held against the bare budget.
+    auto& claims = claims_of[static_cast<std::size_t>(d)];
+    if (claims.model == nullptr) claims = emptyClaims(model);
 
     const place::DeviceOccupancy& live = occ.of(d);
     if (pipeline) {

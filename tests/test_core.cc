@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "apps/workloads.h"
 #include "backend/codegen.h"
 #include "core/service.h"
@@ -103,6 +106,41 @@ TEST_F(ServiceFixture, ExecPlanCacheThreadedThroughEmulator) {
   const auto after = svc_.execPlanCache().stats();
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.compiles, before.compiles);
+}
+
+TEST_F(ServiceFixture, ExecPlanCacheForgetsDepartedTenants) {
+  // Plan fingerprints carry user-prefixed state names, so a departed
+  // tenant's plans never hit again. Over many admit/remove cycles the
+  // cache must track the live population, not the admission count.
+  auto liveSegments = [&] {
+    std::size_t n = 0;
+    for (const auto& [user, dep] : svc_.deployments()) {
+      for (const auto& a : dep.plan.assignments) {
+        for (const auto& [dev, p] : a.on_device) n += !p.instr_idxs.empty();
+        for (const auto& [dev, p] : a.on_bypass) n += !p.instr_idxs.empty();
+      }
+    }
+    return n;
+  };
+  const std::vector<std::string> srcs = {"pod0a", "pod0b", "pod1a", "pod1b"};
+  std::deque<int> live;
+  std::size_t max_size = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const auto r = svc_.submit(SubmitRequest::fromTemplate(
+        "DQAcc", {{"CacheDepth", 64 << (i % 3)}, {"CacheLen", 2}},
+        trafficFor({srcs[static_cast<std::size_t>(i) % srcs.size()]},
+                   "pod2b")));
+    ASSERT_TRUE(r.ok) << "cycle " << i << ": " << r.error.message();
+    live.push_back(r.user_id);
+    if (live.size() > 4) {
+      ASSERT_TRUE(svc_.remove(live.front()).ok);
+      live.pop_front();
+    }
+    const std::size_t size = svc_.execPlanCache().size();
+    max_size = std::max(max_size, size);
+    ASSERT_LE(size, 2 * liveSegments()) << "cycle " << i;
+  }
+  EXPECT_GT(svc_.execPlanCache().stats().compiles, max_size);
 }
 
 TEST_F(ServiceFixture, MultiUserIsolationOverTheNetwork) {

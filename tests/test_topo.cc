@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "topo/ec.h"
 #include "topo/topology.h"
+#include "util/crc.h"
 #include "util/error.h"
 
 namespace clickinc::topo {
@@ -197,6 +202,281 @@ TEST(EcTree, LeafTrafficAccumulates) {
   double leaf_sum = 0;
   for (const auto& n : tree.nodes) leaf_sum += n.leaf_traffic;
   EXPECT_DOUBLE_EQ(leaf_sum, 12.0);
+}
+
+// --- partition memo -------------------------------------------------------
+
+// The colour refinement as first written (per-node neighbour vectors, a
+// linear search over Down links, std::set distinct counts, std::map
+// compaction): the oracle that keeps the flat-buffer rewrite's class ids
+// bit-identical.
+std::vector<int> referenceClasses(const Topology& topo, const HealthView& hv) {
+  std::vector<std::pair<int, int>> down_pairs;
+  const auto& links = topo.links();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (hv.linkAt(static_cast<int>(i)) == Health::kDown) {
+      down_pairs.emplace_back(std::min(links[i].a, links[i].b),
+                              std::max(links[i].a, links[i].b));
+    }
+  }
+  auto edgeUp = [&](int a, int b) {
+    if (hv.nodeAt(a) == Health::kDown || hv.nodeAt(b) == Health::kDown) {
+      return false;
+    }
+    const auto key = std::make_pair(std::min(a, b), std::max(a, b));
+    return std::find(down_pairs.begin(), down_pairs.end(), key) ==
+           down_pairs.end();
+  };
+  const int n = topo.nodeCount();
+  std::vector<std::uint64_t> color(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const Node& nd = topo.node(i);
+    if (nd.kind == NodeKind::kHost) {
+      color[static_cast<std::size_t>(i)] =
+          mix64(0x1000 + static_cast<std::uint64_t>(i));
+    } else {
+      std::uint64_t c = mix64(static_cast<std::uint64_t>(nd.kind) * 131 +
+                              static_cast<std::uint64_t>(nd.layer) +
+                              static_cast<std::uint64_t>(hv.nodeAt(i)) * 7919);
+      const std::string tag =
+          nd.model.name + (nd.attached_accel >= 0 ? "+acc" : "");
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(tag.data());
+      c ^= crc32(std::span<const std::uint8_t>(bytes, tag.size()));
+      color[static_cast<std::size_t>(i)] = c;
+    }
+  }
+  for (int round = 0; round < n; ++round) {
+    std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      std::vector<std::uint64_t> nb;
+      for (int j : topo.neighbors(i)) {
+        if (edgeUp(i, j)) nb.push_back(color[static_cast<std::size_t>(j)]);
+      }
+      std::sort(nb.begin(), nb.end());
+      std::uint64_t c = color[static_cast<std::size_t>(i)];
+      for (std::uint64_t x : nb) c = mix64(c ^ x);
+      next[static_cast<std::size_t>(i)] = c;
+    }
+    if (next == color) break;
+    const std::set<std::uint64_t> before(color.begin(), color.end());
+    const std::set<std::uint64_t> after(next.begin(), next.end());
+    const bool changed = before.size() != after.size();
+    color = std::move(next);
+    if (!changed && round > 0) break;
+  }
+  std::map<std::uint64_t, int> ids;
+  std::vector<int> ec(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ec[static_cast<std::size_t>(i)] =
+        ids.emplace(color[static_cast<std::size_t>(i)],
+                    static_cast<int>(ids.size()))
+            .first->second;
+  }
+  return ec;
+}
+
+Topology fatTree8() {
+  return Topology::fatTree(8, 2, device::makeTofino(), device::makeTrident4(),
+                           device::makeTofino2());
+}
+
+int firstAt(const Topology& t, int layer) {
+  for (const auto& n : t.nodes()) {
+    if (n.layer == layer && n.kind == NodeKind::kSwitch) return n.id;
+  }
+  return -1;
+}
+
+// The memoized live partition must equal a fresh refinement on an
+// independent copy (which starts with an empty memo) and the oracle.
+void expectFresh(const Topology& t, const HealthView* hv = nullptr) {
+  const HealthView view = hv != nullptr ? *hv : t.healthView();
+  const Topology copy = t;
+  EXPECT_EQ(equivalenceClasses(t, hv), equivalenceClasses(copy, &view));
+  EXPECT_EQ(equivalenceClasses(t, hv), referenceClasses(t, view));
+}
+
+TEST(EcMemo, MatchesReferenceRefinement) {
+  for (const auto& base : {fatTree8(), Topology::paperEmulation()}) {
+    Topology t = base;
+    EXPECT_EQ(equivalenceClasses(t), referenceClasses(t, t.healthView()));
+    const int agg = firstAt(t, 2);
+    const int tor = firstAt(t, 1);
+    t.setNodeHealth(agg, Health::kDown);
+    EXPECT_EQ(equivalenceClasses(t), referenceClasses(t, t.healthView()));
+    t.setNodeHealth(agg, Health::kUp);
+    t.setNodeHealth(tor, Health::kDraining);
+    const auto& l = t.links().front();
+    t.setLinkHealth(l.a, l.b, Health::kDown);
+    EXPECT_EQ(equivalenceClasses(t), referenceClasses(t, t.healthView()));
+  }
+}
+
+TEST(EcMemo, HitReturnsTheStoredPartition) {
+  const Topology t = fatTree8();
+  const auto a = t.ecPartition(t.healthView());
+  // Empty vectors mean all Up: the same content, so the same entry.
+  const auto b = t.ecPartition(HealthView{});
+  EXPECT_EQ(a.get(), b.get());
+  HealthView other = t.healthView();
+  other.version = 42;  // the version is not part of the key
+  EXPECT_EQ(t.ecPartition(other).get(), a.get());
+}
+
+TEST(EcMemo, FollowsNodeAndLinkHealth) {
+  Topology t = fatTree8();
+  const auto healthy = equivalenceClasses(t);
+  const int agg = firstAt(t, 2);
+  const int tor = firstAt(t, 1);
+
+  t.setNodeHealth(agg, Health::kDown);
+  expectFresh(t);
+  EXPECT_NE(equivalenceClasses(t), healthy);
+  t.setNodeHealth(agg, Health::kDraining);
+  expectFresh(t);
+  t.setNodeHealth(agg, Health::kUp);
+  expectFresh(t);
+  EXPECT_EQ(equivalenceClasses(t), healthy);
+
+  t.setLinkHealth(agg, tor, Health::kDown);
+  expectFresh(t);
+  EXPECT_NE(equivalenceClasses(t), healthy);
+  t.setLinkHealth(agg, tor, Health::kUp);
+  expectFresh(t);
+  EXPECT_EQ(equivalenceClasses(t), healthy);
+}
+
+TEST(EcMemo, EffectiveViewMaskingADeferredHealAtTheLiveVersion) {
+  // Live: the Agg was healed. Effective: the heal is deferred, so the Agg
+  // still reads Down — under the same version number.
+  Topology t = fatTree8();
+  const int agg = firstAt(t, 2);
+  t.setNodeHealth(agg, Health::kDown);
+  t.setNodeHealth(agg, Health::kUp);
+  const HealthView live = t.healthView();
+  HealthView eff = live;
+  eff.node[static_cast<std::size_t>(agg)] = Health::kDown;
+  ASSERT_EQ(eff.version, live.version);
+
+  const auto live_ec = equivalenceClasses(t, &live);
+  expectFresh(t, &eff);
+  EXPECT_NE(equivalenceClasses(t, &eff), live_ec);
+  expectFresh(t, &live);
+  EXPECT_EQ(equivalenceClasses(t, &live), live_ec);
+}
+
+TEST(EcMemo, RestoreAndResetHealth) {
+  Topology t = fatTree8();
+  const auto healthy = equivalenceClasses(t);
+  const int agg = firstAt(t, 2);
+  std::vector<Health> node(static_cast<std::size_t>(t.nodeCount()),
+                           Health::kUp);
+  std::vector<Health> link(t.links().size(), Health::kUp);
+  node[static_cast<std::size_t>(agg)] = Health::kDown;
+  link.back() = Health::kDown;
+  t.restoreHealth(node, link, 9);
+  expectFresh(t);
+  EXPECT_NE(equivalenceClasses(t), healthy);
+  t.resetHealth();
+  expectFresh(t);
+  EXPECT_EQ(equivalenceClasses(t), healthy);
+}
+
+TEST(EcMemo, CopiesStartEmpty) {
+  Topology t = fatTree8();
+  const auto original = t.ecPartition(t.healthView());
+  const Topology copy = t;
+  const auto copied = copy.ecPartition(copy.healthView());
+  EXPECT_NE(copied.get(), original.get());  // computed, not shared
+  EXPECT_EQ(*copied, *original);
+  Topology assigned = Topology::paperEmulation();
+  (void)assigned.ecPartition(assigned.healthView());
+  assigned = t;
+  EXPECT_EQ(equivalenceClasses(assigned), *original);
+}
+
+TEST(EcMemo, StructuralMutationsInvalidate) {
+  Topology t = fatTree8();
+  Node acc;
+  acc.name = "acc";
+  acc.kind = NodeKind::kAccel;
+  acc.layer = 2;
+  acc.programmable = true;
+  const int acc_id = t.addNode(acc);
+  expectFresh(t);
+  const auto before = equivalenceClasses(t);
+  (void)equivalenceClasses(t);  // a memo hit
+
+  // A bypass card splits the Agg from its pod twin.
+  const int agg = firstAt(t, 2);
+  t.node(agg).attached_accel = acc_id;
+  expectFresh(t);
+  EXPECT_NE(equivalenceClasses(t), before);
+
+  // New wiring: a host on a core switch.
+  const auto wired = equivalenceClasses(t);
+  Node host;
+  host.name = "extra";
+  const int h = t.addNode(host);
+  expectFresh(t);
+  t.addLink(firstAt(t, 3), h);
+  expectFresh(t);
+  EXPECT_NE(equivalenceClasses(t), wired);
+}
+
+bool sameTree(const EcTree& a, const EcTree& b) {
+  if (a.root != b.root || a.server_chain != b.server_chain ||
+      a.total_traffic != b.total_traffic || a.nodes.size() != b.nodes.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const auto& x = a.nodes[i];
+    const auto& y = b.nodes[i];
+    if (x.ec_id != y.ec_id || x.devices != y.devices || x.model != y.model ||
+        x.bypass != y.bypass || x.parent != y.parent ||
+        x.children != y.children || x.leaf_traffic != y.leaf_traffic ||
+        x.server_side != y.server_side) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(EcMemo, ConcurrentBuildsWithAlternatingViews) {
+  const Topology t = fatTree8();
+  TrafficSpec spec;
+  for (const auto& n : t.nodes()) {
+    if (n.kind != NodeKind::kHost) continue;
+    if (n.pod == 0 && spec.sources.size() < 2) spec.sources.push_back({n.id, 1.0});
+    if (n.pod == 3) spec.dst_host = n.id;
+  }
+  HealthView up = t.healthView();
+  HealthView degraded = up;
+  degraded.node[static_cast<std::size_t>(firstAt(t, 3))] = Health::kDown;
+  degraded.version = 1;
+  const HealthView views[2] = {up, degraded};
+  const EcTree expect[2] = {buildEcTree(t, spec, &views[0]),
+                            buildEcTree(t, spec, &views[1])};
+  ASSERT_FALSE(sameTree(expect[0], expect[1]));
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        const int v = (r + w) % 2;
+        if (!sameTree(buildEcTree(t, spec, &views[v]), expect[v])) {
+          ++mismatches[static_cast<std::size_t>(w)];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(w)], 0) << "thread " << w;
+  }
 }
 
 }  // namespace
