@@ -3,15 +3,12 @@
 // A submission is one tagged SubmitRequest — a provider template with
 // parameter overrides, user-written ClickINC source, or an already
 // compiled IR program — plus the tenant's traffic spec and placement
-// options. The service runs it through a two-stage pipeline:
+// options. The service admits submissions one at a time, in order, under
+// its lock, against live state:
 //
-//   compile  parse -> lower -> block DAG -> tree-DP placement. Pure with
-//            respect to service state (works on an occupancy snapshot),
-//            so independent tenants compile concurrently.
-//   commit   serialized, in request order: validate the candidate plan
-//            against current occupancy (re-placing at most once on a
-//            conflict — optimistic concurrency), claim resources,
-//            synthesize per-device programs, deploy to the emulator.
+//   compile  parse -> lower -> block DAG -> tree-DP placement.
+//   commit   claim resources, synthesize per-device programs, deploy to
+//            the emulator, verify, journal.
 //
 // Every failure is a structured ServiceError{code, stage, detail} threaded
 // up from the frontend / placer / synthesizer, so callers and tests can
@@ -56,8 +53,8 @@ enum class ErrorCode {
 // Which pipeline stage reported the error.
 enum class Stage {
   kNone = 0,
-  kCompile,  // parse -> lower -> block DAG -> speculative placement
-  kCommit,   // occupancy validation + resource claim (serialized)
+  kCompile,  // parse -> lower -> block DAG -> placement
+  kCommit,   // resource claim, verify gate, epoch fence of queued requests
   kDeploy,   // synthesis + emulator deployment
   kRemove,   // remove() path
   kFailover, // handleFailure() re-placement path
@@ -154,10 +151,8 @@ struct SubmitResult {
   place::PlacementPlan plan;
   Impact impact;
   double compile_ms = 0;
-  // The commit stage discarded the speculative plan and re-placed against
-  // live occupancy (an earlier commit changed it, or the guessed user id
-  // was off because an earlier in-batch request failed). At most one
-  // re-place happens per submission.
+  // The first placement failed and the submission was placed again after
+  // a reactive compaction pass (DefragPolicy::reactive).
   bool recompiled = false;
   // Retry accounting: how many attempts ran and the total deterministic
   // backoff the policy charged between them (simulated — no wall clock).

@@ -167,26 +167,6 @@ std::set<int> assignmentDevices(const place::NodeAssignment& a) {
 
 }  // namespace
 
-// Output of the compile stage: everything the commit stage needs to
-// validate and deploy without recomputing, or a structured compile error.
-// The block DAG holds a pointer into *prog, so the program is heap-pinned.
-struct ClickIncService::Speculative {
-  std::shared_ptr<ir::IrProgram> prog;
-  place::BlockDag dag;
-  topo::EcTree tree;
-  place::PlacementPlan plan;
-  ServiceError error;  // frontend failure; placement failures live in plan
-  int guessed_user = -1;
-  // Placement domain the snapshot was scoped to (scale::kCrossDomain on
-  // the escape path / sharding off); snapshot_version is that domain's
-  // version, so commit validates against the matching counter.
-  int domain = scale::kCrossDomain;
-  std::uint64_t snapshot_version = 0;
-  std::uint64_t health_version = 0;  // topology health the tree was built on
-  std::uint64_t epoch = 0;           // service epoch the snapshot was taken in
-  double compile_ms = 0;
-};
-
 ClickIncService::ClickIncService(topo::Topology topo, std::uint64_t seed)
     : topo_(std::move(topo)),
       base_(synth::makeDefaultBase()),
@@ -209,33 +189,19 @@ synth::DeviceProgram& ClickIncService::deviceProgram(int node) {
 void ClickIncService::setConcurrency(int threads) {
   waitForAsync();
   if (threads == 0) threads = util::ThreadPool::hardwareConcurrency();
-  // mu_ excludes in-flight submits/commits; compile stages that already
-  // pinned the old pool keep it alive through their shared_ptr copy.
   std::lock_guard<std::mutex> lock(mu_);
   concurrency_ = std::max(1, threads);
-  if (concurrency_ <= 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_shared<util::ThreadPool>(concurrency_);
+  pool_.reset();
+  if (concurrency_ > 1) pool_ = std::make_unique<util::ThreadPool>(concurrency_);
 }
 
 // --- placement domains (docs/scale.md) ----------------------------------
 
 void ClickIncService::setDomainSharding(bool on) {
-  waitForAsync();  // quiescence: no compile stage may hold stale handles
+  waitForAsync();  // queued submissions run under the setting they met
   std::lock_guard<std::mutex> lock(mu_);
   domains_.reset();
-  domain_version_.clear();
-  domain_memos_.clear();
-  if (!on) return;
-  domains_ = std::make_unique<scale::DomainIndex>(topo_);
-  domain_version_.assign(
-      static_cast<std::size_t>(domains_->domainCount()), 0);
-  domain_memos_.reserve(static_cast<std::size_t>(domains_->domainCount()));
-  for (int d = 0; d < domains_->domainCount(); ++d) {
-    domain_memos_.push_back(std::make_shared<place::IntraMemo>());
-  }
+  if (on) domains_ = std::make_unique<scale::DomainIndex>(topo_);
 }
 
 bool ClickIncService::domainSharding() {
@@ -249,39 +215,10 @@ int ClickIncService::requestDomainLocked(
                              : domains_->domainOfTraffic(traffic);
 }
 
-std::uint64_t ClickIncService::domainVersionLocked(int domain) const {
-  return domain == scale::kCrossDomain
-             ? occ_version_
-             : domain_version_[static_cast<std::size_t>(domain)];
-}
-
 const std::vector<int>* ClickIncService::domainDevicesOrNull(
     int domain) const {
   return domain == scale::kCrossDomain ? nullptr
                                        : &domains_->domainDevices(domain);
-}
-
-std::shared_ptr<place::IntraMemo> ClickIncService::domainMemoLocked(
-    int domain) {
-  return domain == scale::kCrossDomain
-             ? arena_.memoHandle()
-             : domain_memos_[static_cast<std::size_t>(domain)];
-}
-
-void ClickIncService::touchDevicesLocked(const std::set<int>& devices) {
-  ++occ_version_;
-  if (domains_ == nullptr) return;
-  for (int dev : devices) {
-    const int d = domains_->domainOf(dev);
-    if (d != scale::kCrossDomain) {
-      ++domain_version_[static_cast<std::size_t>(d)];
-    }
-  }
-}
-
-void ClickIncService::touchAllDomainsLocked() {
-  ++occ_version_;
-  for (auto& v : domain_version_) ++v;
 }
 
 ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req,
@@ -295,8 +232,8 @@ ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req,
       return lib_.compileUser(req.source, cat("user_", user), req.header,
                               req.constants);
     case SubmitRequest::Kind::kProgram:
-      // Moved, not copied: kProgram submissions are compiled exactly once
-      // (the rename re-lower path excludes them).
+      // Moved, not copied: the retry loop hands every attempt but the
+      // last a copy of the request.
       return std::move(req.program);
   }
   throw InternalError("unhandled SubmitRequest kind");
@@ -311,24 +248,37 @@ RetryPolicy ClickIncService::effectivePolicy(const SubmitRequest& req) {
 }
 
 SubmitResult ClickIncService::submit(SubmitRequest req) {
+  return submitWithRetry(req, std::nullopt);
+}
+
+SubmitResult ClickIncService::submitWithRetry(
+    SubmitRequest& req, std::optional<std::uint64_t> queued_epoch) {
   const RetryPolicy policy = effectivePolicy(req);
   const int max_attempts = std::max(1, policy.max_attempts);
-  if (max_attempts == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return submitLocked(req);
-  }
-  // Retry loop: each attempt works on a fresh copy of the request (a
-  // kProgram payload is moved out by the frontend compile, so the
-  // original must survive for the next attempt). The lock is dropped
-  // between attempts — a concurrent remove()/failover can free the
-  // resources the retry needs. Backoff is charged deterministically to
-  // the result; no wall-clock sleeps.
+  // The lock is dropped between attempts, so a concurrent remove() or
+  // failover can free the resources a retry needs. Backoff is charged
+  // deterministically to the result; no wall-clock sleeps.
   double backoff = 0;
   for (int attempt = 1;; ++attempt) {
-    SubmitRequest attempt_req = req;
+    // The frontend moves a kProgram payload out of the request, so every
+    // attempt that may be followed by another works on a copy.
+    SubmitRequest attempt_req =
+        attempt < max_attempts ? SubmitRequest(req) : std::move(req);
     SubmitResult result;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (queued_epoch.has_value() && *queued_epoch != epoch_) {
+        // recover() ran after the request was queued: it was made against
+        // the pre-recovery world, so refuse it; the caller may resubmit.
+        // Further attempts would meet the same epoch mismatch.
+        result.user_id = next_user_;
+        result.error = {ErrorCode::kUnavailable, Stage::kCommit,
+                        "service recovered while the submission was queued"};
+        result.error.retryable = true;
+        result.attempts = attempt;
+        result.backoff_ms = backoff;
+        return result;
+      }
       result = submitLocked(attempt_req);
     }
     result.attempts = attempt;
@@ -341,102 +291,67 @@ SubmitResult ClickIncService::submit(SubmitRequest req) {
 }
 
 SubmissionTicket ClickIncService::submitAsync(SubmitRequest req) {
-  auto task = std::make_shared<std::packaged_task<SubmitResult()>>(
-      [this, r = std::move(req)]() mutable {
-        return submitStaged(std::move(r));
-      });
-  SubmissionTicket ticket(task->get_future().share());
-  auto done = std::make_shared<std::atomic<bool>>(false);
+  AsyncJob job{std::move(req), epoch_.load(), {}};
+  SubmissionTicket ticket(job.done.get_future().share());
   std::lock_guard<std::mutex> lock(async_mu_);
-  // Reap workers whose tasks already finished so a long-lived service
-  // does not accumulate unjoined threads between waitForAsync() calls.
-  for (auto it = async_workers_.begin(); it != async_workers_.end();) {
-    if (it->done->load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = async_workers_.erase(it);
-    } else {
-      ++it;
-    }
+  async_queue_.push_back(std::move(job));
+  if (!worker_running_) {
+    // Started lazily; the last worker (if any) has left its loop.
+    if (worker_.joinable()) worker_.join();
+    worker_running_ = true;
+    worker_ = std::thread([this] { asyncWorkerLoop(); });
+  } else {
+    async_cv_.notify_all();
   }
-  async_workers_.push_back(
-      {std::thread([task, done] {
-         (*task)();
-         done->store(true, std::memory_order_release);
-       }),
-       done});
   return ticket;
 }
 
+void ClickIncService::asyncWorkerLoop() {
+  std::unique_lock<std::mutex> lock(async_mu_);
+  for (;;) {
+    async_cv_.wait(lock, [this] {
+      return !async_queue_.empty() || async_drainers_ > 0;
+    });
+    if (async_queue_.empty()) break;  // drained for waitForAsync()
+    AsyncJob job = std::move(async_queue_.front());
+    async_queue_.pop_front();
+    lock.unlock();
+    std::function<void()> gate;
+    {
+      std::lock_guard<std::mutex> mu_lock(mu_);
+      gate = compile_gate_;
+    }
+    if (gate) gate();  // test hook: holds the worker before it locks
+    try {
+      job.done.set_value(submitWithRetry(job.req, job.epoch));
+    } catch (...) {
+      job.done.set_exception(std::current_exception());
+    }
+    lock.lock();
+  }
+  worker_running_ = false;
+  async_cv_.notify_all();
+}
+
 void ClickIncService::waitForAsync() {
-  std::vector<AsyncWorker> workers;
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    workers.swap(async_workers_);
-  }
-  for (auto& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
-  }
+  std::unique_lock<std::mutex> lock(async_mu_);
+  ++async_drainers_;
+  async_cv_.notify_all();
+  async_cv_.wait(lock, [this] { return !worker_running_; });
+  --async_drainers_;
+  std::thread worker = std::move(worker_);
+  lock.unlock();
+  if (worker.joinable()) worker.join();
 }
 
 std::vector<SubmitResult> ClickIncService::submitAll(
     std::vector<SubmitRequest> requests) {
+  // In request order, one attempt each: a batch never retries.
   std::vector<SubmitResult> out;
   out.reserve(requests.size());
-
-  // Stage 1: speculative compiles, all against one occupancy snapshot.
-  // User ids are guessed assuming every earlier request succeeds; the
-  // commit stage corrects the rare miss (an earlier in-batch failure).
-  // The pool is pinned (shared_ptr copy) for the whole batch so a
-  // concurrent setConcurrency cannot destroy it mid-compile.
-  place::OccupancyMap snapshot(&topo_);
-  topo::HealthView health;
-  int base_user = 1;
-  std::uint64_t epoch = 0;
-  std::shared_ptr<util::ThreadPool> pool;
-  // Per-request domain resolution (all kCrossDomain when sharding is
-  // off): single-pod requests validate against their pod's version, so
-  // commits into other pods never invalidate them.
-  std::vector<int> domains(requests.size(), scale::kCrossDomain);
-  std::vector<std::uint64_t> versions(requests.size(), 0);
-  std::vector<const std::vector<int>*> ratios(requests.size(), nullptr);
-  std::vector<std::shared_ptr<place::IntraMemo>> memos(requests.size());
-  {
+  for (auto& req : requests) {
     std::lock_guard<std::mutex> lock(mu_);
-    pool = pool_;
-    snapshot = occ_;
-    health = topo_.healthView();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      domains[i] = requestDomainLocked(requests[i].traffic);
-      versions[i] = domainVersionLocked(domains[i]);
-      ratios[i] = domainDevicesOrNull(domains[i]);
-      memos[i] = domainMemoLocked(domains[i]);
-    }
-    base_user = next_user_;
-    epoch = epoch_;
-  }
-  if (pool == nullptr || pool->threadCount() <= 1 || requests.size() <= 1) {
-    // Batch semantics: no per-request retry (results must stay
-    // bit-identical to the parallel path, which commits exactly once).
-    for (auto& req : requests) {
-      std::lock_guard<std::mutex> lock(mu_);
-      out.push_back(submitLocked(req));
-    }
-    return out;
-  }
-  std::vector<Speculative> specs(requests.size());
-  pool->parallelFor(requests.size(), [&](std::size_t i) {
-    specs[i] = compileSpeculative(requests[i],
-                                  base_user + static_cast<int>(i), snapshot,
-                                  versions[i], health, pool.get(),
-                                  domains[i], ratios[i], memos[i]);
-    specs[i].epoch = epoch;
-  });
-
-  // Stage 2: serialized commits in request order — deterministic user
-  // ids, occupancy evolution, and deployment order.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    out.push_back(commitSpeculative(std::move(specs[i]), requests[i]));
+    out.push_back(submitLocked(req));
   }
   return out;
 }
@@ -446,15 +361,6 @@ RemoveResult ClickIncService::remove(int user_id, bool lazy) {
   RemoveResult out;
   auto it = deployed_.find(user_id);
   if (it == deployed_.end()) {
-    // The id may belong to a staged submission still in its compile
-    // stage (user ids are assigned at commit, in order). Record the
-    // removal as a cancellation: the submission observes it at commit
-    // and fails with kUnknownUser instead of deploying a removed tenant.
-    if (user_id >= next_user_ && inflight_staged_ > 0) {
-      cancelled_users_.insert(user_id);
-      out.ok = true;
-      return out;
-    }
     out.error = {ErrorCode::kUnknownUser, Stage::kRemove,
                  cat("user ", user_id, " has no active deployment")};
     return out;
@@ -512,7 +418,6 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
       }
     }
   }
-  touchDevicesLocked(planDevices(it->second.plan));
   deployed_.erase(it);
   releaseUnusedPlansLocked();
   out.ok = true;
@@ -520,10 +425,8 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
 
 // --- pipeline stages ----------------------------------------------------
 
-// Sync path: with the lock held for the whole submission, live occupancy
-// IS the snapshot, so the speculative plan is the committed plan and no
-// recompile can happen. This is also the reference semantics submitAll
-// must reproduce bit-identically.
+// The one admission path: frontend, block DAG, EC tree, placement and
+// commit, all against live state under the lock.
 SubmitResult ClickIncService::submitLocked(SubmitRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   SubmitResult result;
@@ -543,9 +446,7 @@ SubmitResult ClickIncService::submitLocked(SubmitRequest& req) {
     const auto tree = topo::buildEcTree(topo_, req.traffic);
     place::PlacementOptions run_opts = req.options;
     if (run_opts.pool == nullptr) run_opts.pool = pool_.get();
-    // Domain sharding scopes the adaptive ratio to the request's pod on
-    // the sequential path too, so sharded submitAll stays bit-identical
-    // to sequential submits.
+    // Domain sharding scopes the adaptive ratio to the request's pod.
     if (run_opts.ratio_devices == nullptr) {
       run_opts.ratio_devices =
           domainDevicesOrNull(requestDomainLocked(req.traffic));
@@ -573,219 +474,6 @@ SubmitResult ClickIncService::submitLocked(SubmitRequest& req) {
   return result;
 }
 
-ClickIncService::Speculative ClickIncService::compileSpeculative(
-    SubmitRequest& req, int guessed_user,
-    const place::OccupancyMap& snapshot, std::uint64_t snapshot_version,
-    const topo::HealthView& health, util::ThreadPool* pool, int domain,
-    const std::vector<int>* ratio_devices,
-    std::shared_ptr<place::IntraMemo> memo) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Speculative spec;
-  spec.guessed_user = guessed_user;
-  spec.domain = domain;
-  spec.snapshot_version = snapshot_version;
-  spec.health_version = health.version;
-  try {
-    spec.prog =
-        std::make_shared<ir::IrProgram>(compileFrontend(req, guessed_user));
-  } catch (...) {
-    spec.error = errorFromCurrentException(Stage::kCompile);
-    spec.compile_ms = msSince(t0);
-    return spec;
-  }
-  try {
-    spec.dag = place::BlockDag::build(*spec.prog);
-    // The health snapshot (not live health) keeps this stage race-free
-    // against concurrent failNode()/healNode(); a stale view is caught at
-    // commit time and re-placed.
-    spec.tree = topo::buildEcTree(topo_, req.traffic, &health);
-
-    // Private scratch over the shared memo: the DP tables are not
-    // shareable between concurrent placements, but the intra-placement
-    // memo is thread-safe, so concurrent tenants compiling identical
-    // segments against the same snapshot pay for one placeCompact
-    // between them. With domain sharding the memo is the request's
-    // pod-sharded one, so disjoint pods never contend on its shards.
-    place::PlacementArena arena(std::move(memo));
-    place::PlacementOptions run_opts = req.options;
-    if (run_opts.pool == nullptr) run_opts.pool = pool;
-    if (run_opts.ratio_devices == nullptr) {
-      run_opts.ratio_devices = ratio_devices;
-    }
-    spec.plan = place::placeProgram(spec.dag, spec.tree, topo_, snapshot,
-                                    run_opts, &arena);
-  } catch (...) {
-    spec.error = errorFromCurrentException(Stage::kCompile);
-  }
-  spec.compile_ms = msSince(t0);
-  return spec;
-}
-
-SubmitResult ClickIncService::submitStaged(SubmitRequest req) {
-  const RetryPolicy policy = effectivePolicy(req);
-  const int max_attempts = std::max(1, policy.max_attempts);
-  if (max_attempts == 1) return submitStagedOnce(req);
-  double backoff = 0;
-  for (int attempt = 1;; ++attempt) {
-    SubmitRequest attempt_req = req;  // kProgram payloads survive retries
-    SubmitResult result = submitStagedOnce(attempt_req);
-    result.attempts = attempt;
-    result.backoff_ms = backoff;
-    if (result.ok || !result.error.retryable || attempt >= max_attempts) {
-      return result;
-    }
-    backoff += policy.delayMs(attempt + 1);
-  }
-}
-
-SubmitResult ClickIncService::submitStagedOnce(SubmitRequest& req) {
-  place::OccupancyMap snapshot(&topo_);
-  topo::HealthView health;
-  std::uint64_t version = 0;
-  int guessed = 1;
-  std::uint64_t epoch = 0;
-  int domain = scale::kCrossDomain;
-  const std::vector<int>* ratio = nullptr;
-  std::shared_ptr<place::IntraMemo> memo;
-  std::shared_ptr<util::ThreadPool> pool;
-  std::function<void()> gate;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pool = pool_;
-    domain = requestDomainLocked(req.traffic);
-    ratio = domainDevicesOrNull(domain);
-    memo = domainMemoLocked(domain);
-    if (domain == scale::kCrossDomain) {
-      snapshot = occ_;  // escape path: the full ledger
-    } else {
-      // Sparse pod-only snapshot: a single-pod placement never reads
-      // beyond its domain's devices, so skip copying the rest of the
-      // ledger (of() on an unlisted device fails loudly, not silently).
-      snapshot = place::OccupancyMap(&topo_, occ_, *ratio);
-    }
-    health = topo_.healthView();
-    version = domainVersionLocked(domain);
-    guessed = next_user_;
-    epoch = epoch_;
-    ++inflight_staged_;
-    gate = compile_gate_;
-  }
-  if (gate) gate();  // test hook: deterministic remove()-race window
-  Speculative spec = compileSpeculative(req, guessed, snapshot, version,
-                                        health, pool.get(), domain, ratio,
-                                        std::move(memo));
-  spec.epoch = epoch;
-  std::lock_guard<std::mutex> lock(mu_);
-  --inflight_staged_;
-  SubmitResult result = commitSpeculative(std::move(spec), req);
-  // Cancellations can only target in-flight submissions; once none are
-  // left, pending entries are stale (their ids will be re-assigned).
-  if (inflight_staged_ == 0) cancelled_users_.clear();
-  return result;
-}
-
-SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
-                                                SubmitRequest& req) {
-  const auto t0 = std::chrono::steady_clock::now();
-  SubmitResult result;
-  result.user_id = next_user_;
-  result.compile_ms = spec.compile_ms;
-  // A recover() completed while this submission compiled: its snapshot,
-  // guessed id, and cancellation bookkeeping all describe the pre-crash
-  // world. Refuse to commit into the new epoch; the caller may resubmit.
-  if (spec.epoch != epoch_) {
-    result.error = {ErrorCode::kUnavailable, Stage::kCommit,
-                    "service recovered while the submission was in flight"};
-    result.error.retryable = true;
-    return result;
-  }
-  // A remove() issued while this submission compiled wins the race: the
-  // tenant is gone before its commit, so nothing deploys and occupancy is
-  // untouched.
-  if (cancelled_users_.erase(next_user_) > 0) {
-    result.error = {ErrorCode::kUnknownUser, Stage::kCommit,
-                    cat("user ", next_user_,
-                        " was removed before its submission committed")};
-    return result;
-  }
-  if (!spec.error.ok()) {
-    // Frontend failures are deterministic regardless of user id or
-    // occupancy; report them as-is.
-    result.error = spec.error;
-    return result;
-  }
-
-  // The guessed user id seeds program and state-prefix names; a miss
-  // (an earlier in-batch request failed) means the speculative program
-  // carries the wrong prefixes, so re-lower with the real id. Placement
-  // is name-blind, but the plan's instruction indices must reference the
-  // program actually deployed — re-place rather than assume the lowering
-  // emitted the identical instruction order.
-  const bool rename = spec.guessed_user != next_user_ &&
-                      req.kind != SubmitRequest::Kind::kProgram;
-  if (rename) {
-    try {
-      spec.prog =
-          std::make_shared<ir::IrProgram>(compileFrontend(req, next_user_));
-    } catch (...) {
-      result.error = errorFromCurrentException(Stage::kCommit);
-      result.compile_ms += msSince(t0);
-      return result;
-    }
-    spec.dag = place::BlockDag::build(*spec.prog);
-  }
-
-  // Optimistic-concurrency validation: any occupancy mutation since the
-  // snapshot (a commit, remove, rollback, or failover) invalidates the
-  // speculative plan — both resource feasibility and the adaptive weights
-  // depend on occupancy — so re-place against live state, exactly as a
-  // sequential submit would have. A health move additionally invalidates
-  // the EC tree itself (dead devices must not be placement targets), so
-  // the tree is rebuilt against live health first. The commit stage is
-  // serialized, so this happens at most once per submission. A single-pod
-  // speculative plan validates against its pod's version counter: every
-  // mutation of a pod device bumps it (touchDevicesLocked), so commits
-  // confined to other pods never force a re-place here.
-  const bool health_moved = topo_.healthVersion() != spec.health_version;
-  const bool occ_moved =
-      spec.domain != scale::kCrossDomain && domains_ != nullptr
-          ? domainVersionLocked(spec.domain) != spec.snapshot_version
-          : occ_version_ != spec.snapshot_version;
-  if (rename || health_moved || occ_moved) {
-    try {
-      if (health_moved) spec.tree = topo::buildEcTree(topo_, req.traffic);
-      place::PlacementOptions run_opts = req.options;
-      if (run_opts.pool == nullptr) run_opts.pool = pool_.get();
-      if (run_opts.ratio_devices == nullptr) {
-        run_opts.ratio_devices = domainDevicesOrNull(
-            domains_ == nullptr ? scale::kCrossDomain : spec.domain);
-      }
-      spec.plan = place::placeProgram(spec.dag, spec.tree, topo_, occ_,
-                                      run_opts, &arena_);
-    } catch (...) {
-      result.error = errorFromCurrentException(Stage::kCommit);
-      result.compile_ms += msSince(t0);
-      return result;
-    }
-    result.recompiled = true;
-  }
-  cumulative_stats_.add(spec.plan.stats);
-  result.plan = std::move(spec.plan);
-  if (!result.plan.feasible &&
-      !reactiveCompactionLocked(&result, *spec.prog, req.traffic,
-                                req.options)) {
-    result.error = placementFailure(
-        result.plan, result.recompiled ? Stage::kCommit : Stage::kCompile);
-    annotateResourceFailure(&result.error, *spec.prog, occ_, topo_);
-    result.compile_ms += msSince(t0);
-    return result;
-  }
-
-  commitAndDeployLocked(&result, spec.prog, req.traffic, req.options);
-  result.compile_ms += msSince(t0);
-  return result;
-}
-
 void ClickIncService::commitAndDeployLocked(
     SubmitResult* result, const std::shared_ptr<ir::IrProgram>& prog,
     const topo::TrafficSpec& traffic,
@@ -805,7 +493,6 @@ void ClickIncService::commitAndDeployLocked(
                         durable::encodeCommit(rec));
   }
   place::commitPlan(result->plan, *prog, occ_);
-  touchDevicesLocked(planDevices(result->plan));
   const int user = next_user_;
   result->user_id = user;
   auto journalAbort = [&] {
@@ -872,7 +559,6 @@ void ClickIncService::rollbackDeployLocked(
     for (const auto& [dev, p] : a.on_device) strip(dev, p);
     for (const auto& [dev, p] : a.on_bypass) strip(dev, p);
   }
-  touchDevicesLocked(planDevices(plan));
 }
 
 void ClickIncService::deployPlan(
@@ -1152,7 +838,6 @@ void ClickIncService::wipeDeviceLocked(int node) {
   }
   emu_.undeployDevice(node);
   device_programs_.erase(node);
-  touchDevicesLocked({node});
 }
 
 void ClickIncService::releaseUnusedPlansLocked() {
@@ -1378,7 +1063,6 @@ TenantRecovery ClickIncService::recoverTenantLocked(
     for (const auto& [dev, p] : a.on_device) release(dev, p);
     for (const auto& [dev, p] : a.on_bypass) release(dev, p);
   }
-  touchDevicesLocked(planDevices(old.plan));
 
   // 2. Re-place against the degraded topology (dead devices are not in
   // the EC tree; draining devices forward but take no placements). The
@@ -1426,7 +1110,6 @@ TenantRecovery ClickIncService::recoverTenantLocked(
       emu_.undeploy(dev, user);
     }
     deployed_.erase(user);
-    touchDevicesLocked(old_devices);
     rec.outcome = RecoveryOutcome::kInfeasible;
     rec.error = err;
     rec.segments_replaced = static_cast<int>(old.plan.assignments.size());
@@ -1519,7 +1202,6 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
   // data-plane (pinned devices untouched by construction), deploy the new
   // segments.
   place::commitPlan(new_plan, *old.prog, occ_);
-  touchDevicesLocked(planDevices(new_plan));
   for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
     if (pinned_old[j]) continue;
     for (int dev : assignmentDevices(old.plan.assignments[j])) {
@@ -1568,7 +1250,6 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
       }
     }
     place::commitPlan(restore, *old.prog, occ_);
-    touchDevicesLocked(planDevices(restore));
     std::vector<char> skip(restore.assignments.size(), 0);
     for (std::size_t j = 0; j < restore.assignments.size(); ++j) {
       skip[j] = pinned_old[j];
@@ -1620,7 +1301,6 @@ ClickIncService::SwapResult ClickIncService::applyMigrationLocked(
     for (const auto& [dev, p] : a.on_device) release(dev, p);
     for (const auto& [dev, p] : a.on_bypass) release(dev, p);
   }
-  touchDevicesLocked(planDevices(old.plan));
   const SwapResult res =
       swapPlanLocked(user, old, new_plan, /*incremental=*/true,
                      [](int) { return true; }, stage);
@@ -1889,13 +1569,11 @@ void ClickIncService::resetStateLocked() {
   device_programs_.clear();
   emu_.reset();
   occ_ = place::OccupancyMap(&topo_);
-  touchAllDomainsLocked();
   next_user_ = 1;
   processed_health_version_ = 0;
   journaled_health_version_ = 0;
   deferred_heals_.clear();
   last_disturb_.clear();
-  cancelled_users_.clear();
   injector_.reset();
   inject_deploy_fail_ = -1;
   journal_ = nullptr;
@@ -1929,10 +1607,7 @@ bool ClickIncService::journalAttached() {
   return journal_ != nullptr;
 }
 
-std::uint64_t ClickIncService::epoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
+std::uint64_t ClickIncService::epoch() { return epoch_.load(); }
 
 durable::CheckpointRecord ClickIncService::buildCheckpointLocked() {
   durable::CheckpointRecord cp;
@@ -2007,7 +1682,6 @@ void ClickIncService::restoreCheckpointLocked(
     occ.free_stage = dev.free_stage;
     occ.free_whole = dev.free_whole;
   }
-  touchAllDomainsLocked();
   for (const auto& t : cp.tenants) {
     CLICKINC_CHECK(durable::planFingerprint(t.plan) == t.plan_fp,
                    cat("checkpoint restore: plan fingerprint mismatch for "
@@ -2035,7 +1709,6 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
       auto prog = std::make_shared<ir::IrProgram>(std::move(cr.prog));
       validateReplayPlan(cr.plan, *prog, occ_);
       place::commitPlan(cr.plan, *prog, occ_);
-      touchDevicesLocked(planDevices(cr.plan));
       Impact impact;
       deployPlan(cr.user, prog, cr.plan, &impact);
       place::PlacementOptions stored = cr.options;
@@ -2131,9 +1804,8 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
 RecoveryReport ClickIncService::recover(durable::JournalSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   RecoveryReport rep;
-  // Every recovery — successful or not — opens a new epoch: staged
-  // submissions that compiled against the pre-recovery world refuse to
-  // commit (kUnavailable, retryable).
+  // Every recovery — successful or not — opens a new epoch: submissions
+  // queued before it refuse to commit (kUnavailable, retryable).
   ++epoch_;
   CLICKINC_CHECK(sink != nullptr, "recover: null sink");
   const auto bytes = sink->readAll();

@@ -1,31 +1,29 @@
 // ClickIncService: the One-Big-INC façade (paper §3, Fig. 2/3).
 //
 // Tenants submit a SubmitRequest (template | source | compiled IR, plus a
-// traffic spec); the service runs a two-stage pipeline:
+// traffic spec); the service admits each one against live state, under
+// the service lock, in one pass: parse -> lower -> block DAG -> tree-DP
+// placement (§5) -> claim resources -> synthesize per-device programs (§6)
+// -> deploy onto the emulated network -> verify -> journal.
 //
-//   compile  parse -> lower -> block DAG -> tree-DP placement (§5),
-//            against an occupancy snapshot — pure with respect to shared
-//            service state, so independent tenants compile concurrently
-//            on the shared worker pool.
-//   commit   serialized: validate the candidate plan against live
-//            occupancy (optimistic concurrency — re-place at most once on
-//            conflict), claim resources, synthesize per-device programs
-//            (§6) and deploy onto the emulated network.
-//
-// submit() is the synchronous convenience, submitAsync() returns a
-// joinable SubmissionTicket, and submitAll() compiles a batch of tenants
-// concurrently and commits deterministically in request order — results
-// are bit-identical to sequential submits. Failures are structured
-// ServiceErrors (core/api.h). Removal is annotation-driven and lazy by
-// default. See docs/service.md for the lifecycle and error taxonomy.
+// submit() runs that pass on the caller's thread. submitAsync() queues
+// the request onto one FIFO served by one worker thread that runs the
+// same pass, so tickets resolve in submit order with the ids and plans a
+// sequence of submit() calls would produce. submitAll() is that sequence
+// for a batch. Failures are structured ServiceErrors (core/api.h).
+// Removal is annotation-driven and lazy by default. See docs/service.md
+// for the lifecycle and error taxonomy.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -46,7 +44,7 @@
 
 namespace clickinc::core {
 
-// Joinable handle of one in-flight asynchronous submission. Copyable;
+// Handle of one queued asynchronous submission. Copyable;
 // every copy refers to the same eventual SubmitResult. The result is
 // produced exactly once; get() blocks until it is ready.
 class SubmissionTicket {
@@ -81,34 +79,35 @@ class SubmissionTicket {
 class ClickIncService {
  public:
   explicit ClickIncService(topo::Topology topo, std::uint64_t seed = 42);
-  ~ClickIncService();  // joins outstanding submitAsync() submissions
+  ~ClickIncService();  // runs every queued submitAsync() request first
   ClickIncService(const ClickIncService&) = delete;
   ClickIncService& operator=(const ClickIncService&) = delete;
 
-  // Synchronous submission: compile + commit under the service lock.
-  // Never throws for tenant-caused failures — inspect result.error.
+  // Synchronous submission: the whole admission under the service lock,
+  // wrapped in the retry policy. Never throws for tenant-caused failures —
+  // inspect result.error.
   SubmitResult submit(SubmitRequest req);
 
-  // Asynchronous submission: compiles on a background thread against an
-  // occupancy snapshot, then joins the serialized commit stage. Tickets
-  // outstanding at destruction time are joined by the destructor.
+  // Asynchronous submission: queues the request onto one FIFO served by
+  // one lazily started worker thread, which runs exactly what submit()
+  // runs. Tickets therefore resolve in submit order with the results a
+  // sequence of submit() calls would give. A request still queued when
+  // recover() runs fails with kUnavailable (retryable) instead.
   SubmissionTicket submitAsync(SubmitRequest req);
 
-  // Batch submission. With concurrency > 1 the compile stage of every
-  // request runs in parallel on the worker pool; commits apply in request
-  // order, so results (plans, occupancy, user ids, emulator state) are
-  // bit-identical to submitting the same requests sequentially.
+  // Batch submission: submits each request in order, one attempt each
+  // (no retry), so results equal the same sequence of single-attempt
+  // submits.
   std::vector<SubmitResult> submitAll(std::vector<SubmitRequest> requests);
 
-  // Joins every submitAsync() submission issued so far.
+  // Runs every submitAsync() request queued so far, then joins the
+  // worker (the next submitAsync() starts a new one).
   void waitForAsync();
 
   // Removes a user program (lazy per §6 unless eager requested). Unknown
-  // ids yield ErrorCode::kUnknownUser instead of silently succeeding.
-  // Serializes with in-flight submitAsync() commits on the service lock,
-  // so racing a removal against a submission is well-defined: whichever
-  // reaches the commit stage first wins, and the loser observes the
-  // winner's state.
+  // ids yield ErrorCode::kUnknownUser instead of silently succeeding. A
+  // queued submitAsync() request has no id until the worker commits it,
+  // so removing the id it will get returns kUnknownUser.
   RemoveResult remove(int user_id, bool lazy = true);
 
   // --- failure-domain runtime (docs/failures.md) ---
@@ -118,8 +117,7 @@ class ClickIncService {
   // (req.retry.max_attempts > 0) takes precedence. Backoff is simulated
   // deterministically — attempts reacquire the lock immediately and the
   // schedule is charged to SubmitResult::backoff_ms — so retried
-  // submissions stay reproducible under test. submitAll() never retries:
-  // batch results must stay bit-identical to sequential submits.
+  // submissions stay reproducible under test. submitAll() never retries.
   void setRetryPolicy(RetryPolicy policy);
   RetryPolicy retryPolicy();
   void setFailoverPolicy(FailoverPolicy policy);
@@ -163,9 +161,7 @@ class ClickIncService {
   // Reactive targeted compaction: when policy.reactive is on, a
   // kResourceExhausted submission whose failure diagnoses as stranded
   // capacity triggers one defragment(policy.options) pass and a single
-  // re-place before the failure is returned. The retry runs identically
-  // on the sequential and staged commit paths, so submitAll stays
-  // bit-identical to sequential submits.
+  // re-place before the failure is returned.
   void setDefragPolicy(DefragPolicy policy);
   DefragPolicy defragPolicy();
 
@@ -173,10 +169,10 @@ class ClickIncService {
   // SynthesisError, exercising the rollback/restore paths. Single-shot.
   void injectDeployFailureAfter(int n);
 
-  // Test hook: invoked by every staged (submitAsync/submitAll) attempt
-  // between taking its occupancy snapshot and compiling — a deterministic
-  // window for racing remove() against an in-flight submission. Called
-  // without the service lock held. Pass nullptr to clear.
+  // Test hook: the async worker invokes it for each queued request just
+  // before it takes the service lock — a deterministic window for racing
+  // remove() or recover() against a queued submission. Called without
+  // the service lock held. Pass nullptr to clear.
   void setCompileGate(std::function<void()> gate);
 
   // --- durability (docs/recovery.md) ---
@@ -205,16 +201,16 @@ class ClickIncService {
   // (re-synthesizing snippets and re-deploying deterministically), then
   // run a full verifier audit. A torn tail from a crash mid-append is
   // discarded (the sink is truncated to the clean prefix). On success the
-  // journal is attached to `sink` and the epoch is bumped: staged
-  // submissions that began before the recovery refuse to commit
-  // (kUnavailable, retryable). On any failure the service is left empty
+  // journal is attached to `sink` and the epoch is bumped: submitAsync()
+  // requests queued before the recovery refuse to commit (kUnavailable,
+  // retryable). On any failure the service is left empty
   // with no journal attached and the report carries a structured
   // kRecovery error — never a silently-wrong service. Fault injectors and
   // policies are not journaled; re-arm them after recovery.
   RecoveryReport recover(durable::JournalSink* sink);
 
-  // Bumped by every recover() call (success or failure). Speculative
-  // submissions carry the epoch they compiled under.
+  // Bumped by every recover() call (success or failure). submitAsync()
+  // requests carry the epoch they were queued under.
   std::uint64_t epoch();
 
   // --- plan verification (docs/verification.md) ---
@@ -246,34 +242,25 @@ class ClickIncService {
   // pointer borrows from this service.
   verify::Snapshot verifySnapshot();
 
-  // Concurrency knob for the whole pipeline: submitAll()/submitAsync()
-  // compile tenants concurrently, placements run the worker-pool tree DP,
-  // and synthesis builds per-device programs in parallel. The emulator
+  // Pool size for the parallel parts of one admission: placements run the
+  // worker-pool tree DP, and synthesis builds per-device programs in
+  // parallel. Admissions themselves stay one at a time; the emulator
   // stays single-threaded. 1 (the default) is strictly sequential; 0
   // resolves to the hardware thread count. Results are bit-identical
   // across settings — parallelism changes wall-clock, never plans or
-  // packets. Joins outstanding async submissions and excludes in-flight
-  // submits before swapping the pool (in-flight compile stages keep the
-  // old pool alive via shared_ptr); do not call concurrently with an
-  // in-flight submitAll().
+  // packets. Runs queued async submissions first and swaps the pool under
+  // the service lock.
   void setConcurrency(int threads);
   int concurrency() const { return concurrency_; }
   util::ThreadPool* threadPool() { return pool_.get(); }
 
   // --- placement domains (docs/scale.md) ---
 
-  // Shards the occupancy snapshot, IntraMemo, and optimistic-concurrency
-  // version by pod (scale::DomainIndex). A submission whose traffic stays
-  // inside one pod compiles against a sparse pod-only snapshot, memoizes
-  // into its pod's IntraMemo, averages the adaptive-weight ratio over pod
-  // devices only, and re-places at commit iff *its pod's* version moved —
-  // concurrent submitAll batches against disjoint pods never invalidate
-  // each other. Cross-pod traffic escapes to the full-ledger path,
-  // validated against the global version exactly as before. With sharding
-  // on, submitAll stays bit-identical to sequential submits (the
-  // per-domain version subsumes every mutation of domain devices).
-  // Quiescent-only, like setConcurrency: joins async submissions; do not
-  // call concurrently with an in-flight submitAll.
+  // Indexes devices and traffic by pod (scale::DomainIndex). A submission
+  // whose traffic stays inside one pod averages the adaptive-weight ratio
+  // over its pod's devices only; cross-pod traffic uses the service-wide
+  // ratio. The index also serves verifyDomain(). Runs queued async
+  // submissions first, like setConcurrency.
   void setDomainSharding(bool on);
   bool domainSharding();
   // The live index, or nullptr when sharding is off.
@@ -288,10 +275,8 @@ class ClickIncService {
   // The placement arena shared by every commit-stage placement: reuses
   // DP-table allocations between trials and carries the occupancy-keyed
   // intra-placement memo, so identical templates from different users
-  // (Table 3/6 scenarios) skip repeated placeCompact searches. Pipelined
-  // speculative compiles share the memo through private arenas (see
-  // place::PlacementArena). Cumulative cache statistics are accumulated
-  // in placementStats().
+  // (Table 3/6 scenarios) skip repeated placeCompact searches. Cumulative
+  // cache statistics are accumulated in placementStats().
   place::PlacementArena& placementArena() { return arena_; }
   const place::PlacementStats& placementStats() const {
     return cumulative_stats_;
@@ -319,42 +304,30 @@ class ClickIncService {
   std::set<int> podsCrossing(const std::set<int>& devices) const;
 
  private:
-  struct Speculative;  // compile-stage output (defined in service.cc)
+  // One queued submitAsync() request and the epoch it was queued under.
+  struct AsyncJob {
+    SubmitRequest req;
+    std::uint64_t epoch = 0;
+    std::promise<SubmitResult> done;
+  };
 
   // Frontend compile of a request's payload for a given user id (the id
   // seeds program / state-prefix names). Throws lang errors. A kProgram
-  // payload is *moved out* of the request — legal because that kind
-  // never reaches the rename re-lower path (the caller names it).
+  // payload is *moved out* of the request.
   ir::IrProgram compileFrontend(SubmitRequest& req, int user) const;
 
-  // Whole pipeline under the lock (sync path; zero recompiles possible).
+  // One admission attempt under the lock: compile, place, commit.
   SubmitResult submitLocked(SubmitRequest& req);
 
-  // Stage 1: pure compile against an occupancy + health snapshot; safe to
-  // run concurrently with other compiles (not with commits of *this*
-  // request). The health snapshot keeps the EC-tree build off the live
-  // (lock-protected) health vectors — a concurrent failNode() cannot race
-  // it. `pool` is the caller's pinned copy of the service pool (may be
-  // null).
-  // `domain` / `ratio_devices` / `memo` are the caller's lock-captured
-  // domain resolution (kCrossDomain / nullptr / the global memo handle
-  // when sharding is off or the request crosses pods): snapshot_version
-  // is the *domain's* version for single-pod requests.
-  Speculative compileSpeculative(SubmitRequest& req, int guessed_user,
-                                 const place::OccupancyMap& snapshot,
-                                 std::uint64_t snapshot_version,
-                                 const topo::HealthView& health,
-                                 util::ThreadPool* pool, int domain,
-                                 const std::vector<int>* ratio_devices,
-                                 std::shared_ptr<place::IntraMemo> memo);
+  // submitLocked wrapped in the retry policy, shared by submit() and the
+  // async worker. With `queued_epoch` set, each attempt first checks it
+  // against the live epoch and fails kUnavailable if recover() ran since.
+  SubmitResult submitWithRetry(SubmitRequest& req,
+                               std::optional<std::uint64_t> queued_epoch);
 
-  // Stage 2 (lock held): validate + claim + synthesize + deploy.
-  SubmitResult commitSpeculative(Speculative&& spec, SubmitRequest& req);
-
-  // Snapshot-compile then serialized commit (submitAsync path), wrapped
-  // in the retry loop. submitStagedOnce is a single attempt.
-  SubmitResult submitStaged(SubmitRequest req);
-  SubmitResult submitStagedOnce(SubmitRequest& req);
+  // The async worker: serves the FIFO until it is empty and a
+  // waitForAsync() is draining it.
+  void asyncWorkerLoop();
 
   RetryPolicy effectivePolicy(const SubmitRequest& req);
 
@@ -449,10 +422,10 @@ class ClickIncService {
   // state — the view failover re-placement must plan against.
   topo::HealthView effectiveHealthLocked() const;
   // Everything back to the post-construction state (journal detached,
-  // injector cleared; in-flight ticket bookkeeping is left alone).
+  // injector cleared; queued submitAsync() requests are left alone).
   void resetStateLocked();
-  // The state-mutating tail of remove() after lookup and cancellation
-  // handling; `it` points into deployed_.
+  // The state-mutating tail of remove() after lookup; `it` points into
+  // deployed_.
   void doRemoveLocked(std::map<int, Deployed>::iterator it, int user_id,
                       bool lazy, RemoveResult* out);
   durable::CheckpointRecord buildCheckpointLocked();
@@ -468,20 +441,9 @@ class ClickIncService {
   // Domain of a request's traffic: its pod when sharding is on and every
   // endpoint shares one pod, else scale::kCrossDomain.
   int requestDomainLocked(const topo::TrafficSpec& traffic) const;
-  // The version a snapshot of `domain` must validate against (the pod's
-  // version, or occ_version_ for the cross-domain escape path).
-  std::uint64_t domainVersionLocked(int domain) const;
   // Pod device list for the adaptive-ratio scope; nullptr on the escape
   // path (service-wide ratio).
   const std::vector<int>* domainDevicesOrNull(int domain) const;
-  // Pod-sharded IntraMemo handle; the global memo on the escape path.
-  std::shared_ptr<place::IntraMemo> domainMemoLocked(int domain);
-  // Occupancy-mutation bookkeeping: bumps the global version plus the
-  // domain version of every pod owning one of `devices`. Every former
-  // bare ++occ_version_ site with a known device set routes through here.
-  void touchDevicesLocked(const std::set<int>& devices);
-  // For wholesale mutations (reset, checkpoint restore).
-  void touchAllDomainsLocked();
 
   topo::Topology topo_;
   modules::ModuleLibrary lib_;
@@ -493,33 +455,17 @@ class ClickIncService {
   std::map<int, Deployed> deployed_;
   place::PlacementArena arena_;
   place::PlacementStats cumulative_stats_;
-  // Set by setConcurrency(>1). shared_ptr so a pool swap cannot destroy
-  // a pool an in-flight compile stage is still running on — readers pin
-  // a copy under mu_ and keep it for the duration of the stage.
-  std::shared_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<util::ThreadPool> pool_;  // set by setConcurrency(>1)
   int concurrency_ = 1;
   int next_user_ = 1;
 
-  // Serializes the commit stage and every mutation of the shared state
+  // Serializes every admission and every mutation of the shared state
   // above (occupancy, deployments, device programs, emulator, arena).
   std::mutex mu_;
-  // Bumped on every occupancy mutation (commit / remove / rollback /
-  // failover); the commit stage re-places a speculative plan iff the
-  // version moved since its snapshot — the optimistic-concurrency
-  // validation. Health moves are validated separately against the
-  // topology's own health version.
-  std::uint64_t occ_version_ = 0;
 
-  // Placement-domain state (guarded by mu_; rebuilt by setDomainSharding
-  // under quiescence, so compile stages may hold borrowed device-list
-  // pointers and memo handles across the unlocked compile). domains_ ==
-  // nullptr means sharding is off. domain_version_[pod] is bumped by
-  // touchDevicesLocked whenever a mutation touches a device of that pod;
-  // single-pod speculative plans validate against it instead of the
-  // global version.
+  // Pod index for the adaptive-ratio scope and verifyDomain (guarded by
+  // mu_); nullptr means sharding is off.
   std::unique_ptr<scale::DomainIndex> domains_;
-  std::vector<std::uint64_t> domain_version_;
-  std::vector<std::shared_ptr<place::IntraMemo>> domain_memos_;
 
   // Failure-domain runtime state (all guarded by mu_).
   RetryPolicy retry_policy_;        // max_attempts <= 1: no retry
@@ -537,30 +483,25 @@ class ClickIncService {
   std::uint64_t journal_seq_ = 0;
   std::uint64_t journaled_health_version_ = 0;  // kHealth write watermark
   bool replaying_ = false;
-  std::uint64_t epoch_ = 0;
+  // Written under mu_; read without it by submitAsync() so queueing never
+  // waits for a running admission.
+  std::atomic<std::uint64_t> epoch_ = 0;
   // Flap-damping state (FailoverPolicy::flap_window; docs/failures.md).
   // Keyed by durable::entityKey; serialized into checkpoints.
   std::map<std::uint64_t, durable::DeferredHeal> deferred_heals_;
   std::map<std::uint64_t, std::uint64_t> last_disturb_;
 
-  // remove()-vs-in-flight-submission bookkeeping (guarded by mu_).
-  // Staged submissions in their compile stage; while any are in flight, a
-  // remove() of a not-yet-assigned user id is recorded as a cancellation
-  // instead of kUnknownUser, and the submission observes it at commit.
-  int inflight_staged_ = 0;
-  std::set<int> cancelled_users_;
-  std::function<void()> compile_gate_;  // test hook (see setCompileGate)
+  std::function<void()> compile_gate_;  // test hook; guarded by mu_
 
-  // submitAsync worker bookkeeping: each worker flags `done` when its
-  // task finishes, and the next submitAsync() reaps (joins) finished
-  // workers so a long-lived service does not accumulate unjoined
-  // threads. waitForAsync()/the destructor join everything.
-  struct AsyncWorker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
+  // The async FIFO and its one worker (guarded by async_mu_). The worker
+  // leaves its loop once the queue is empty and a waitForAsync() is
+  // draining (async_drainers_ > 0); waitForAsync() then joins it.
   std::mutex async_mu_;
-  std::vector<AsyncWorker> async_workers_;
+  std::condition_variable async_cv_;
+  std::deque<AsyncJob> async_queue_;
+  int async_drainers_ = 0;
+  bool worker_running_ = false;
+  std::thread worker_;
 };
 
 }  // namespace clickinc::core

@@ -49,20 +49,6 @@ const DeviceOccupancy& OccupancyMap::of(int node_id) const {
       slot_of_[static_cast<std::size_t>(node_id)])];
 }
 
-OccupancyMap::OccupancyMap(const topo::Topology* topo,
-                           const OccupancyMap& src,
-                           const std::vector<int>& devices)
-    : topo_(topo) {
-  slot_of_.assign(static_cast<std::size_t>(topo->nodeCount()), -1);
-  slots_.reserve(devices.size());
-  for (int dev : devices) {
-    CLICKINC_CHECK(slot_of_[static_cast<std::size_t>(dev)] < 0,
-                   "restricted occupancy copy: duplicate device");
-    slot_of_[static_cast<std::size_t>(dev)] = static_cast<int>(slots_.size());
-    slots_.push_back(src.of(dev));
-  }
-}
-
 double OccupancyMap::remainingRatio() const {
   if (slots_.empty()) return 1.0;
   double sum = 0;
@@ -371,9 +357,7 @@ class TreePlacer {
   void computeOccFingerprints() {
     occ_fp_.assign(static_cast<std::size_t>(topo_.nodeCount()), 0);
     for (const auto& n : topo_.nodes()) {
-      // A sparse domain snapshot carries only its pod's devices; the DP
-      // never places on (so never reads the fingerprint of) the rest.
-      if (n.programmable && occ_.contains(n.id)) {
+      if (n.programmable) {
         occ_fp_[static_cast<std::size_t>(n.id)] =
             occupancyFingerprint(occ_.of(n.id));
       }

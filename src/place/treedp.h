@@ -52,20 +52,12 @@ class OccupancyMap {
  public:
   explicit OccupancyMap(const topo::Topology* topo);
 
-  // Sparse snapshot restricted to `devices`: only the listed devices get
-  // slots (copied from `src`); of() on any other node CHECK-fails loudly.
-  // Single-domain speculative compiles only ever consult their domain's
-  // devices, so the per-submission copy of the whole ledger is avoided
-  // (see core::ClickIncService::setDomainSharding).
-  OccupancyMap(const topo::Topology* topo, const OccupancyMap& src,
-               const std::vector<int>& devices);
-
   DeviceOccupancy& of(int node_id);
   const DeviceOccupancy& of(int node_id) const;
 
-  // True when this map carries a slot for node_id (always true for
-  // programmable nodes on a full map; restricted to the listed devices
-  // on a sparse snapshot). of() CHECK-fails exactly when this is false.
+  // True when this map carries a slot for node_id, i.e. node_id is a
+  // programmable node of the topology. of() CHECK-fails exactly when this
+  // is false.
   bool contains(int node_id) const {
     return node_id >= 0 && node_id < static_cast<int>(slot_of_.size()) &&
            slot_of_[static_cast<std::size_t>(node_id)] >= 0;
@@ -183,11 +175,9 @@ struct Segment {
 //
 // The memo is held by shared_ptr so several arenas can share one memo
 // while keeping private scratch buffers: IntraMemo is thread-safe
-// (sharded, exactly-once claim/publish) but the DP tables are not, so the
-// service's pipelined submit path gives every concurrent speculative
-// compile its own arena constructed over the service-wide memo — six
-// tenants submitting three distinct templates pay for one placeCompact
-// per distinct (occupancy, segment) key across the whole batch.
+// (sharded, exactly-once claim/publish) but the DP tables are not, so a
+// caller placing outside the service's arena (a what-if placement against
+// live occupancy, say) builds its own arena over the service's memo.
 class PlacementArena {
  public:
   PlacementArena() : memo_(std::make_shared<IntraMemo>()) {}

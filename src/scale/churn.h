@@ -73,7 +73,7 @@ struct ChurnMetrics {
   long removes = 0;
   long failures = 0;            // submissions that did not deploy
   long resource_failures = 0;   //   of which kResourceExhausted
-  long recompiles = 0;          // commit-stage re-places (optimistic misses)
+  long recompiles = 0;          // re-places after reactive compaction
   long faults_applied = 0;
   long removed_already_gone = 0;  // expiries that lost to a failover drop
   long audits = 0;

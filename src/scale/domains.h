@@ -7,14 +7,13 @@
 // shorter than any route through a core), so the EC tree of intra-pod
 // traffic only ever contains domain devices: a single-pod submission
 // reads and claims pod-local occupancy exclusively. That is what lets
-// core::ClickIncService shard its snapshot, IntraMemo, and
-// optimistic-concurrency version by pod — concurrent submitAll compiles
-// against disjoint pods share nothing.
+// core::ClickIncService scope the adaptive-weight ratio of a single-pod
+// submission to its pod's devices, and audit one pod at a time
+// (verifyDomain).
 //
 // Anything else — traffic spanning pods, pod-less endpoints, core
-// devices — takes the cross-domain escape path (kCrossDomain): a full
-// ledger snapshot validated against the global occupancy version, exactly
-// the pre-sharding behaviour.
+// devices — takes the cross-domain escape path (kCrossDomain): the
+// service-wide ratio, exactly the pre-sharding behaviour.
 #pragma once
 
 #include <vector>

@@ -50,7 +50,7 @@ struct FailureEvent {
 };
 
 // Immutable copy of the health state, taken under the owner's lock so
-// lock-free readers (speculative compiles) see one consistent version.
+// readers after the lock is dropped see one consistent version.
 // Empty vectors mean "everything Up" (default view).
 struct HealthView {
   std::vector<Health> node;

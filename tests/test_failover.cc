@@ -685,7 +685,7 @@ TEST(Retry, RetryableFailureConsumesTheAttemptBudget) {
   EXPECT_EQ(parse.attempts, 1);
 }
 
-// --- remove() vs in-flight submitAsync ----------------------------------
+// --- remove() vs queued submitAsync -------------------------------------
 
 TEST(ServiceFailover, RemoveRacesInFlightSubmitCleanly) {
   for (int iter = 0; iter < 6; ++iter) {
@@ -694,7 +694,7 @@ TEST(ServiceFailover, RemoveRacesInFlightSubmitCleanly) {
     const auto a = svc.submit(dqaccRequest(svc.topology()));
     ASSERT_TRUE(a.ok);
     auto ticket = svc.submitAsync(mlaggRequest(svc.topology(), 512));
-    const auto rr = svc.remove(a.user_id);  // races the in-flight commit
+    const auto rr = svc.remove(a.user_id);  // races the async worker
     ticket.wait();
     EXPECT_TRUE(rr.ok);
     ASSERT_TRUE(ticket.get().ok) << ticket.get().error.message();
@@ -804,7 +804,7 @@ TEST(Chaos, RecoveryIsBitIdenticalAcrossThreadPools) {
 
 // Unscripted stress: async churn racing applyFault() on another thread.
 // Nondeterministic interleaving — asserts invariants only, and gives TSan
-// real concurrency between the failover path and staged submissions.
+// real concurrency between the failover path and the async worker.
 TEST(Chaos, AsyncChurnSurvivesConcurrentFaults) {
   ClickIncService svc(topo::Topology::paperEmulation());
   svc.setConcurrency(4);

@@ -32,10 +32,9 @@ void expectPlacementsEqual(const place::IntraPlacement& a,
 
 // Exact (==, not near) comparison: the parallel path must produce the
 // very same doubles, or it is not the same computation. `compare_steps`
-// is off for the pipelined-submission suites: arena/memo warmth differs
-// between the speculative and sequential paths (memoized placements
-// report zero search steps), which changes step counters but never plan
-// content.
+// is off for the service-level suites: arena/memo warmth differs between
+// services (memoized placements report zero search steps), which changes
+// step counters but never plan content.
 void expectPlansIdentical(const place::PlacementPlan& par,
                           const place::PlacementPlan& seq,
                           bool compare_steps = true) {
@@ -239,8 +238,8 @@ void expectEmuStateIdentical(emu::Emulator& a, emu::Emulator& b,
 
 // Five tenants: three distinct templates, one duplicate template on
 // different traffic, and one failing request in the middle — the failure
-// leaves an id gap, forcing the pipelined commit stage through its
-// guessed-id correction path.
+// consumes no id, so every later tenant's id (and program name) depends
+// on it.
 std::vector<core::SubmitRequest> tenantBatch(
     const core::ClickIncService& svc) {
   auto traffic = [&](const std::vector<const char*>& srcs, const char* dst) {

@@ -231,9 +231,8 @@ std::vector<core::SubmitRequest> disjointPodBatch(
 }
 
 // With adaptive weights OFF, plans are occupancy-ratio-independent, so the
-// sharded parallel path must be bit-identical to the plain UNSHARDED
-// sequential path — across 1/2/8-thread pools, with zero commit-stage
-// re-places (disjoint pods never invalidate each other).
+// sharded submitAll must be bit-identical to the plain UNSHARDED
+// sequential path — across 1/2/8-thread pools, with no re-place.
 TEST(DomainSharding, DisjointPodsMatchUnshardedSequentialFixedWeights) {
   scale::FatTreeParams p;
   p.k = 4;
@@ -267,8 +266,8 @@ TEST(DomainSharding, DisjointPodsMatchUnshardedSequentialFixedWeights) {
 }
 
 // With adaptive weights ON the ratio is pod-scoped, a pure function of
-// pod-local occupancy: the sharded parallel batch must equal sharded
-// sequential submits bit for bit, again with zero re-places.
+// pod-local occupancy: the sharded submitAll batch must equal sharded
+// sequential submits bit for bit, again with no re-place.
 TEST(DomainSharding, ParallelMatchesSequentialAdaptiveWeights) {
   scale::FatTreeParams p;
   p.k = 4;
@@ -298,9 +297,9 @@ TEST(DomainSharding, ParallelMatchesSequentialAdaptiveWeights) {
 }
 
 // Same-pod contention and cross-pod traffic still commit correctly: the
-// second same-pod tenant re-places against the moved pod version, and the
-// cross-pod request escapes to the global path. End state matches the
-// sequential reference regardless.
+// second same-pod tenant places against the pod occupancy the first left,
+// and the cross-pod request uses the service-wide ratio. End state
+// matches the sequential reference.
 TEST(DomainSharding, SamePodContentionAndCrossPodEscape) {
   scale::FatTreeParams p;
   p.k = 4;

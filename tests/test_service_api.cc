@@ -2,9 +2,13 @@
 // code/stage per failure cause and the request/ticket/commit lifecycle.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <memory>
+#include <thread>
 
 #include "core/service.h"
+#include "durable/serialize.h"
 #include "modules/templates.h"
 #include "place/intradevice.h"
 #include "topo/topology.h"
@@ -208,11 +212,11 @@ TEST(ServiceLifecycle, ConcurrentAsyncTenantsAllCommit) {
   EXPECT_EQ(svc.deployments().size(), 4u);
 }
 
-TEST(ServiceLifecycle, RemoveDuringInFlightCompileCancelsAtCommit) {
+TEST(ServiceLifecycle, RemoveOfAQueuedSubmissionsIdIsUnknownUser) {
   ClickIncService svc(topo::Topology::paperEmulation());
 
-  // Block the async submission between its occupancy snapshot and the
-  // compile, so the remove() below races a genuinely in-flight tenant.
+  // Hold the async worker before it takes the service lock, so the
+  // remove() below runs while the submission is still queued.
   std::promise<void> reached, release;
   auto reached_f = reached.get_future();
   auto release_f = release.get_future().share();
@@ -225,27 +229,138 @@ TEST(ServiceLifecycle, RemoveDuringInFlightCompileCancelsAtCommit) {
   reached_f.wait();
   svc.setCompileGate(nullptr);
 
-  // The tenant has not committed yet, so its id (the next to be issued)
-  // is not in deployments — but an in-flight staged submission exists, so
-  // remove() records the cancellation instead of kUnknownUser.
+  // Ids are assigned when the worker commits: the queued request has none
+  // yet, so the id it will get is unknown to remove().
   const auto rm = svc.remove(1);
-  EXPECT_TRUE(rm.ok) << rm.error.message();
-  EXPECT_TRUE(rm.impact.affected_devices.empty());
+  EXPECT_FALSE(rm.ok);
+  EXPECT_EQ(rm.error.code, ErrorCode::kUnknownUser);
+  EXPECT_EQ(rm.error.stage, Stage::kRemove);
 
   release.set_value();
   const auto& r = ticket.get();
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error.code, ErrorCode::kUnknownUser);
-  EXPECT_EQ(r.error.stage, Stage::kCommit);
-  EXPECT_FALSE(r.error.detail.empty());
-
-  // Nothing deployed, no occupancy leaked: a fresh audit is clean and a
-  // new submission gets the id the cancelled tenant never consumed.
-  EXPECT_TRUE(svc.deployments().empty());
+  ASSERT_TRUE(r.ok) << r.error.message();
+  EXPECT_EQ(r.user_id, 1);
+  EXPECT_EQ(svc.deployments().count(1), 1u);
   EXPECT_TRUE(svc.verifyDeployments().ok());
-  const auto next = svc.submit(dqaccRequest(svc));
-  ASSERT_TRUE(next.ok) << next.error.message();
-  EXPECT_EQ(next.user_id, 1);
+}
+
+// Occupancy fingerprint of every programmable device, in node order.
+std::vector<std::uint64_t> occupancyFingerprints(ClickIncService& svc) {
+  std::vector<std::uint64_t> fps;
+  for (const auto& n : svc.topology().nodes()) {
+    if (n.programmable) {
+      fps.push_back(place::occupancyFingerprint(svc.occupancy().of(n.id)));
+    }
+  }
+  return fps;
+}
+
+// Mixed tenants on paperEmulation with one frontend failure mid-stream.
+std::vector<SubmitRequest> orderedBatch(const ClickIncService& svc) {
+  std::vector<SubmitRequest> reqs;
+  reqs.push_back(dqaccRequest(svc, 64));
+  reqs.push_back(dqaccRequest(svc, 256));
+  reqs.push_back(SubmitRequest::fromTemplate(
+      "NoSuchTemplate", {}, trafficFor(svc, {"pod0a"}, "pod2b")));
+  reqs.push_back(SubmitRequest::fromTemplate(
+      "MLAgg",
+      {{"NumAgg", 1024}, {"Dim", 8}, {"NumWorker", 2}, {"IsConvert", 0}},
+      trafficFor(svc, {"pod0a", "pod1a"}, "pod2b")));
+  reqs.push_back(dqaccRequest(svc, 128));
+  return reqs;
+}
+
+TEST(ServiceLifecycle, QueuedTicketsResolveInOrderLikeSequentialSubmits) {
+  ClickIncService twin(topo::Topology::paperEmulation());
+  std::vector<SubmitResult> want;
+  for (auto& req : orderedBatch(twin)) want.push_back(twin.submit(req));
+
+  ClickIncService svc(topo::Topology::paperEmulation());
+  // Hold the worker on the first request so the whole batch is queued
+  // before any of it runs.
+  std::promise<void> reached, release;
+  auto reached_f = reached.get_future();
+  auto release_f = release.get_future().share();
+  bool armed = true;
+  svc.setCompileGate([&reached, release_f, &armed]() mutable {
+    if (!armed) return;
+    armed = false;
+    reached.set_value();
+    release_f.wait();
+  });
+  std::vector<SubmissionTicket> tickets;
+  for (auto& req : orderedBatch(svc)) {
+    tickets.push_back(svc.submitAsync(std::move(req)));
+  }
+  reached_f.wait();
+  for (const auto& t : tickets) EXPECT_FALSE(t.done());
+  release.set_value();
+
+  ASSERT_EQ(tickets.size(), want.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    tickets[i].wait();
+    // FIFO: once ticket i is ready, every earlier ticket is too.
+    for (std::size_t j = 0; j < i; ++j) EXPECT_TRUE(tickets[j].done());
+    const auto& r = tickets[i].get();
+    EXPECT_EQ(r.ok, want[i].ok) << "request " << i;
+    EXPECT_EQ(r.error.code, want[i].error.code) << "request " << i;
+    EXPECT_EQ(r.user_id, want[i].user_id) << "request " << i;
+    EXPECT_EQ(r.plan.gain, want[i].plan.gain) << "request " << i;
+  }
+  EXPECT_FALSE(tickets[2].get().ok);  // the mid-stream failure
+  EXPECT_EQ(tickets[2].get().error.code, ErrorCode::kUnknownTemplate);
+  EXPECT_EQ(occupancyFingerprints(svc), occupancyFingerprints(twin));
+  ASSERT_EQ(svc.deployments().size(), twin.deployments().size());
+  for (const auto& [user, dep] : twin.deployments()) {
+    ASSERT_EQ(svc.deployments().count(user), 1u) << "user " << user;
+    EXPECT_EQ(durable::planFingerprint(svc.deployments().at(user).plan),
+              durable::planFingerprint(dep.plan))
+        << "user " << user;
+  }
+}
+
+TEST(ServiceLifecycle, WaitForAsyncAndDestructionResolveEveryQueuedTicket) {
+  for (const bool destroy : {false, true}) {
+    auto svc = std::make_unique<ClickIncService>(
+        topo::Topology::paperEmulation());
+    std::promise<void> reached, release;
+    auto reached_f = reached.get_future();
+    auto release_f = release.get_future().share();
+    bool armed = true;
+    svc->setCompileGate([&reached, release_f, &armed]() mutable {
+      if (!armed) return;
+      armed = false;
+      reached.set_value();
+      release_f.wait();
+    });
+    std::vector<SubmissionTicket> tickets;
+    for (auto& req : orderedBatch(*svc)) {
+      tickets.push_back(svc->submitAsync(std::move(req)));
+    }
+    // Release the held worker from another thread once the drain below
+    // has had time to start waiting on the queue.
+    std::thread releaser([&] {
+      reached_f.wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.set_value();
+    });
+    if (destroy) {
+      svc.reset();
+    } else {
+      svc->waitForAsync();
+    }
+    releaser.join();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      EXPECT_TRUE(tickets[i].done()) << "destroy=" << destroy << " i=" << i;
+      EXPECT_EQ(tickets[i].get().ok, i != 2) << "destroy=" << destroy;
+    }
+    if (!destroy) {
+      EXPECT_EQ(svc->deployments().size(), tickets.size() - 1);
+      // The drained worker was joined; the next request starts a new one.
+      const SubmissionTicket more = svc->submitAsync(dqaccRequest(*svc, 32));
+      EXPECT_TRUE(more.get().ok) << more.get().error.message();
+    }
+  }
 }
 
 TEST(ServiceLifecycle, SubmitAllFallsBackSequentiallyWithoutPool) {
