@@ -16,7 +16,10 @@
 //
 // In the default mode a sweep of >= 20 seeds also fails if any mutation
 // injector never found an eligible site across the whole sweep — a
-// wedged injector would silently stop testing its invariant.
+// wedged injector would silently stop testing its invariant. Every fault
+// step also checks the failover batch's scoped audit against a full audit
+// and injects each mutation inside the batch's scope (verify/fuzz.h);
+// --fault-steps raises the number of steps per seed.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -133,8 +136,10 @@ int main(int argc, char** argv) {
   if (recovery) return runRecovery(start, seeds, out_file);
 
   long checkpoints = 0, fired = 0, skipped = 0, checks = 0, deployed = 0;
+  long scoped_batches = 0;
   long fired_by[clickinc::verify::kNumMutations] = {};
   long skipped_by[clickinc::verify::kNumMutations] = {};
+  long scoped_fired_by[clickinc::verify::kNumMutations] = {};
   for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
     const auto outcome = clickinc::verify::fuzzOnce(seed, opts);
     checkpoints += outcome.checkpoints;
@@ -142,13 +147,16 @@ int main(int argc, char** argv) {
     skipped += outcome.mutations_skipped;
     checks += outcome.checks;
     deployed += outcome.tenants_deployed;
+    scoped_batches += outcome.scoped_batches;
     for (int m = 0; m < clickinc::verify::kNumMutations; ++m) {
       fired_by[m] += outcome.fired_by[m];
       skipped_by[m] += outcome.skipped_by[m];
+      scoped_fired_by[m] += outcome.scoped_fired_by[m];
     }
     if (!outcome.ok) {
       std::cerr << "FAIL seed " << seed << ": " << outcome.failure << "\n"
-                << "reproduce: fuzz_plans --start " << seed
+                << "reproduce: fuzz_plans --fault-steps "
+                << opts.fault_steps << " --start " << seed
                 << " --seeds 1\n";
       if (!out_file.empty()) {
         std::ofstream f(out_file);
@@ -161,13 +169,16 @@ int main(int argc, char** argv) {
             << " clean audits, " << deployed << " tenants deployed, "
             << fired << " mutations detected (" << skipped
             << " skipped for lack of an eligible site), " << checks
-            << " verifier checks total\n";
+            << " verifier checks total; " << scoped_batches
+            << " failover batches moved a tenant, and every batch's "
+               "scoped audit matched a full audit\n";
   bool starved = false;
   for (int m = 0; m < clickinc::verify::kNumMutations; ++m) {
     std::cout << "  " << clickinc::verify::toString(
                              static_cast<clickinc::verify::Mutation>(m))
               << ": " << fired_by[m] << " detected, " << skipped_by[m]
-              << " skipped\n";
+              << " skipped; " << scoped_fired_by[m]
+              << " detected inside a failover batch's scope\n";
     if (opts.mutations && seeds >= 20 && fired_by[m] == 0) starved = true;
   }
   if (starved) {

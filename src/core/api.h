@@ -219,9 +219,17 @@ struct FailoverReport {
   std::uint64_t health_version = 0;  // topology version this report covers
   int blast_radius_devices = 0;      // devices losing claims to the event
   std::vector<TenantRecovery> tenants;  // affected tenants, ascending id
-  // Full-audit verifier output over the post-failover state (every tenant,
-  // every device). Populated when VerifyPolicy::at_failover is on and the
-  // report covered at least one processed event.
+  // Devices the batch touched: the blast devices (the affected tenants'
+  // old plan devices and the wiped devices) plus the devices of every
+  // affected tenant's plan after recovery.
+  std::set<int> touched_devices;
+  // Verifier output over what the batch touched: per-tenant checks for the
+  // tenants above, occupancy and isolation over every tenant's placements
+  // on touched_devices. The batch changed nothing outside that scope, so
+  // from a clean start it reports what a full audit would
+  // (docs/verification.md#failover-audits).
+  // Populated when VerifyPolicy::at_failover is on and the report covered
+  // at least one processed event.
   verify::VerifyReport verify;
   // Heal reactions deferred by FailoverPolicy::flap_window in this batch.
   int damped_events = 0;

@@ -523,7 +523,7 @@ void ClickIncService::commitAndDeployLocked(
   // and unwind it rather than publish a corrupt plan.
   if (verify_policy_.at_commit && !replaying_) {
     verify::VerifyOptions vopts;
-    vopts.scope_users = {user};
+    vopts.scope_users = std::set<int>{user};
     vopts.scope_devices = planDevices(result->plan);
     result->verify = auditLocked(vopts);
     if (!result->verify.ok()) {
@@ -782,23 +782,21 @@ verify::VerifyReport ClickIncService::verifyDomain(int pod) {
   verify::VerifyOptions opts;
   if (domains_ != nullptr && pod >= 0 && pod < domains_->domainCount()) {
     const auto& devs = domains_->domainDevices(pod);
-    opts.scope_devices.insert(devs.begin(), devs.end());
+    std::set<int> pod_devices(devs.begin(), devs.end());
     // Per-tenant checks cover every tenant whose plan touches the pod —
     // the same field-for-field occupancy reconciliation the full audit
     // runs, restricted to this domain's slice of the ledger.
+    std::set<int> users;
     for (const auto& [user, dep] : deployed_) {
       for (int dev : planDevices(dep.plan)) {
-        if (opts.scope_devices.count(dev) != 0) {
-          opts.scope_users.insert(user);
+        if (pod_devices.count(dev) != 0) {
+          users.insert(user);
           break;
         }
       }
     }
-    if (opts.scope_users.empty()) {
-      // No tenant touches the pod: scope to an impossible user id so the
-      // per-tenant passes stay empty instead of widening to everyone.
-      opts.scope_users.insert(-1);
-    }
+    opts.scope_devices = std::move(pod_devices);
+    opts.scope_users = std::move(users);
   }
   return auditLocked(opts);
 }
@@ -962,8 +960,10 @@ FailoverReport ClickIncService::handleEventsLocked() {
   // server-only and could win switch placement back. Ascending user id
   // keeps recovery deterministic. All checks run against the *effective*
   // health view — live health with deferred heals masked back to their
-  // pre-heal state — so a damped entity attracts no re-placement.
+  // pre-heal state — so a damped entity attracts no re-placement. One
+  // router serves every tenant's sources under that view.
   const topo::HealthView eff = effectiveHealthLocked();
+  topo::PathFinder router(topo_, &eff);
   std::vector<int> affected;
   std::set<int> blast;
   for (const auto& [user, dep] : deployed_) {
@@ -982,8 +982,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
         std::set<int> on_path;
         bool any_path = false;
         for (const auto& src : dep.traffic.sources) {
-          const auto p =
-              topo_.shortestPathUp(src.host, dep.traffic.dst_host, &eff);
+          const auto p = router.path(src.host, dep.traffic.dst_host);
           if (p.empty()) continue;
           any_path = true;
           for (int n : p) {
@@ -1018,12 +1017,29 @@ FailoverReport ClickIncService::handleEventsLocked() {
   }
   releaseUnusedPlansLocked();
 
-  // Post-failover audit: re-placement, rollback, and device wipes all
-  // mutated plans and the ledger; verify every surviving deployment
-  // against the degraded topology before reporting success. Suppressed
-  // during replay (recover() runs one full audit at the end).
+  // The batch touched the blast devices, the affected tenants' plans, and
+  // the devices those plans occupy after recovery; nothing else.
+  report.touched_devices = std::move(blast);
+  for (int user : affected) {
+    const auto it = deployed_.find(user);
+    if (it == deployed_.end()) continue;  // dropped: old devices in blast
+    const std::set<int> now = planDevices(it->second.plan);
+    report.touched_devices.insert(now.begin(), now.end());
+  }
+
+  // Post-failover audit of what the batch touched: the affected tenants'
+  // per-tenant checks plus occupancy and isolation over every tenant's
+  // placements on the touched devices. That finds everything a full audit
+  // would: the verifier never reads element health, an unaffected
+  // tenant's plan and program did not change, and every other mutation of
+  // plans or the ledger is audited in its own scope when it happens
+  // (docs/verification.md#failover-audits). Suppressed during replay
+  // (recover() runs one full audit at the end).
   if (verify_policy_.at_failover && !replaying_) {
-    report.verify = auditLocked({});
+    verify::VerifyOptions vopts;
+    vopts.scope_users = std::set<int>(affected.begin(), affected.end());
+    vopts.scope_devices = report.touched_devices;
+    report.verify = auditLocked(vopts);
   }
 
   report.health_version = topo_.healthVersion();
@@ -1435,7 +1451,7 @@ DefragReport ClickIncService::defragmentLocked(
     // plan touches. A violation migrates the victim straight back.
     if (opts.verify_each && verify_policy_.at_commit && !replaying_) {
       verify::VerifyOptions vopts;
-      vopts.scope_users = {v.user};
+      vopts.scope_users = std::set<int>{v.user};
       auto scope = planDevices(old.plan);
       const auto nd = planDevices(new_plan);
       scope.insert(nd.begin(), nd.end());

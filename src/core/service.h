@@ -219,8 +219,11 @@ class ClickIncService {
   // at_commit: every successful deploy is verified (scoped to the new
   // tenant + its devices) before registration; a violation fails the
   // submission with ErrorCode::kVerification and rolls it back.
-  // at_failover: every failover report covering processed events carries a
-  // full audit in FailoverReport::verify.
+  // at_failover: every failover report covering processed events carries
+  // an audit of what the batch touched in FailoverReport::verify: the
+  // affected tenants, and every tenant's placements on the touched
+  // devices. Unchanged plans give unchanged results, so it equals a full
+  // audit whenever every earlier mutation passed its own scoped audit.
   struct VerifyPolicy {
     bool at_commit = true;
     bool at_failover = true;

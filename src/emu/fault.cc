@@ -21,12 +21,14 @@ FaultInjector::FaultInjector(topo::Topology* topo, std::uint64_t seed,
 FaultAction FaultInjector::propose() {
   // Candidates are enumerated in node/link order, so the choice is a pure
   // function of (seed position, health state). Reads go through a const
-  // view, which leaves the topology's partition memo alone.
+  // view, which leaves the topology's partition memo alone; link health
+  // is read by index from one health snapshot.
   const topo::Topology& topo = *topo_;
+  const topo::HealthView health = topo.healthView();
   std::vector<FaultAction> kills, heals;
   int non_up = 0;
   for (int i = 0; i < topo.nodeCount(); ++i) {
-    const topo::Health h = topo.nodeHealth(i);
+    const topo::Health h = health.nodeAt(i);
     if (h != topo::Health::kUp) {
       ++non_up;
       FaultAction a;
@@ -48,11 +50,13 @@ FaultAction FaultInjector::propose() {
     }
   }
   if (opts_.allow_links) {
-    for (const auto& l : topo.links()) {
+    const auto& links = topo.links();
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const auto& l = links[i];
       FaultAction a;
       a.link_a = l.a;
       a.link_b = l.b;
-      if (topo.linkHealth(l.a, l.b) == topo::Health::kDown) {
+      if (health.linkAt(static_cast<int>(i)) == topo::Health::kDown) {
         ++non_up;
         a.kind = FaultAction::Kind::kHealLink;
         heals.push_back(a);

@@ -185,8 +185,9 @@ EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
     double volume;
   };
   std::vector<EcPath> paths;
+  PathFinder router(topo, &hv);
   for (const auto& src : spec.sources) {
-    const auto raw = topo.shortestPathUp(src.host, spec.dst_host, &hv);
+    const auto raw = router.path(src.host, spec.dst_host);
     if (raw.empty()) {
       if (!topo.shortestPath(src.host, spec.dst_host).empty()) {
         throw UnavailableError(cat("no healthy path from host ", src.host,

@@ -1,7 +1,6 @@
 #include "topo/topology.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "util/error.h"
@@ -153,90 +152,66 @@ int Topology::findNode(const std::string& name) const {
 }
 
 std::vector<int> Topology::shortestPath(int src, int dst) const {
-  if (src == dst) return {src};
-  std::vector<int> prev(nodes_.size(), -1);
-  std::deque<int> queue{src};
-  prev[static_cast<std::size_t>(src)] = src;
-  while (!queue.empty()) {
-    const int cur = queue.front();
-    queue.pop_front();
-    for (int nb : adj_[static_cast<std::size_t>(cur)]) {
-      if (prev[static_cast<std::size_t>(nb)] != -1) continue;
-      prev[static_cast<std::size_t>(nb)] = cur;
-      if (nb == dst) {
-        std::vector<int> path{dst};
-        int v = dst;
-        while (v != src) {
-          v = prev[static_cast<std::size_t>(v)];
-          path.push_back(v);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(nb);
-    }
-  }
-  return {};
+  return PathFinder(*this, nullptr).path(src, dst);
 }
 
 std::vector<int> Topology::shortestPathUp(int src, int dst,
                                           const HealthView* health) const {
-  // Fully-healthy fast path: identical BFS order, so results are
-  // bit-identical to shortestPath by construction.
-  const bool live = health == nullptr;
-  if (live && down_nodes_ == 0 && down_links_ == 0) {
-    return shortestPath(src, dst);
-  }
-  auto nodeUp = [&](int id) {
-    const Health h = live ? node_health_[static_cast<std::size_t>(id)]
-                          : health->nodeAt(id);
-    return h != Health::kDown;
-  };
-  // Down links are rare; collect their endpoint pairs once per call.
-  std::vector<std::pair<int, int>> down_pairs;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    const Health h = live ? link_health_[i]
-                          : health->linkAt(static_cast<int>(i));
-    if (h == Health::kDown) {
-      down_pairs.emplace_back(std::min(links_[i].a, links_[i].b),
-                              std::max(links_[i].a, links_[i].b));
+  if (health != nullptr) return PathFinder(*this, health).path(src, dst);
+  // Live health: skip copying the view when nothing is Down.
+  if (down_nodes_ == 0 && down_links_ == 0) return shortestPath(src, dst);
+  const HealthView live = healthView();
+  return PathFinder(*this, &live).path(src, dst);
+}
+
+PathFinder::PathFinder(const Topology& topo, const HealthView* health)
+    : topo_(topo) {
+  if (health != nullptr) {
+    for (std::size_t i = 0; i < health->node.size(); ++i) {
+      if (health->node[i] != Health::kDown) continue;
+      if (down_node_.empty()) down_node_.assign(health->node.size(), 0);
+      down_node_[i] = 1;
     }
-  }
-  if (down_pairs.empty() && !live) {
-    bool any_down_node = false;
-    for (int i = 0; i < nodeCount() && !any_down_node; ++i) {
-      any_down_node = !nodeUp(i);
+    const auto& links = topo.links();
+    for (std::size_t i = 0; i < health->link.size(); ++i) {
+      if (health->link[i] != Health::kDown) continue;
+      down_links_.emplace_back(std::min(links[i].a, links[i].b),
+                               std::max(links[i].a, links[i].b));
     }
-    if (!any_down_node) return shortestPath(src, dst);
+    std::sort(down_links_.begin(), down_links_.end());
   }
-  auto linkUp = [&](int a, int b) {
-    const auto key = std::make_pair(std::min(a, b), std::max(a, b));
-    return std::find(down_pairs.begin(), down_pairs.end(), key) ==
-           down_pairs.end();
-  };
-  if (!nodeUp(src) || !nodeUp(dst)) return {};
+  prev_.resize(static_cast<std::size_t>(topo.nodeCount()));
+}
+
+bool PathFinder::linkUp(int a, int b) const {
+  return down_links_.empty() ||
+         !std::binary_search(down_links_.begin(), down_links_.end(),
+                             std::make_pair(std::min(a, b), std::max(a, b)));
+}
+
+std::vector<int> PathFinder::path(int src, int dst) {
+  if (!forwards(src) || !forwards(dst)) return {};
   if (src == dst) return {src};
-  std::vector<int> prev(nodes_.size(), -1);
-  std::deque<int> queue{src};
-  prev[static_cast<std::size_t>(src)] = src;
-  while (!queue.empty()) {
-    const int cur = queue.front();
-    queue.pop_front();
-    for (int nb : adj_[static_cast<std::size_t>(cur)]) {
-      if (prev[static_cast<std::size_t>(nb)] != -1) continue;
-      if (!nodeUp(nb) || !linkUp(cur, nb)) continue;
-      prev[static_cast<std::size_t>(nb)] = cur;
+  std::fill(prev_.begin(), prev_.end(), -1);
+  queue_.assign(1, src);
+  prev_[static_cast<std::size_t>(src)] = src;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int cur = queue_[head];
+    for (int nb : topo_.neighbors(cur)) {
+      if (prev_[static_cast<std::size_t>(nb)] != -1) continue;
+      if (!forwards(nb) || !linkUp(cur, nb)) continue;
+      prev_[static_cast<std::size_t>(nb)] = cur;
       if (nb == dst) {
         std::vector<int> path{dst};
         int v = dst;
         while (v != src) {
-          v = prev[static_cast<std::size_t>(v)];
+          v = prev_[static_cast<std::size_t>(v)];
           path.push_back(v);
         }
         std::reverse(path.begin(), path.end());
         return path;
       }
-      queue.push_back(nb);
+      queue_.push_back(nb);
     }
   }
   return {};

@@ -105,7 +105,7 @@ class Topology {
   int findNode(const std::string& name) const;  // -1 if absent
 
   // Shortest path by hop count (BFS); empty when unreachable. Ignores
-  // health (full wiring).
+  // health (full wiring). A one-shot PathFinder over the full wiring.
   std::vector<int> shortestPath(int src, int dst) const;
 
   // --- failure domain ---
@@ -130,6 +130,8 @@ class Topology {
   // Health-aware BFS: skips Down nodes and Down links (Draining still
   // forwards). Bit-identical to shortestPath when everything is Up.
   // `health` overrides the live state with a snapshot (nullptr = live).
+  // A one-shot PathFinder; callers routing many pairs under one view
+  // build the PathFinder once instead.
   std::vector<int> shortestPathUp(int src, int dst,
                                   const HealthView* health = nullptr) const;
 
@@ -204,6 +206,36 @@ class Topology {
     std::shared_ptr<const std::vector<int>> ec;
   };
   mutable PartitionMemo ec_memo_;
+};
+
+// The topology's one BFS router. Construction reads the health view once
+// (which nodes forward, which links are Down); every path() call then runs
+// a plain BFS over the wiring with those elements removed, reusing its
+// buffers. Neighbours are visited in adjacency (link insertion) order
+// with FIFO tie-breaking, so a path is a pure function of the wiring and
+// the view. Not thread-safe: one PathFinder per thread. The topology must
+// outlive it and keep its wiring while it is in use.
+class PathFinder {
+ public:
+  // Routes around the Down nodes and links of `health`; Draining
+  // forwards. nullptr routes over the full wiring.
+  PathFinder(const Topology& topo, const HealthView* health);
+
+  // Shortest path by hop count, src and dst included; empty when src or
+  // dst is Down or no path remains.
+  std::vector<int> path(int src, int dst);
+
+ private:
+  bool forwards(int node) const {
+    return down_node_.empty() || !down_node_[static_cast<std::size_t>(node)];
+  }
+  bool linkUp(int a, int b) const;
+
+  const Topology& topo_;
+  std::vector<char> down_node_;  // per node; empty when no node is Down
+  std::vector<std::pair<int, int>> down_links_;  // sorted (min, max) ends
+  std::vector<int> prev_;   // BFS parent per node, -1 unvisited
+  std::vector<int> queue_;  // FIFO: pops advance an index
 };
 
 }  // namespace clickinc::topo

@@ -41,13 +41,21 @@ struct FuzzOutcome {
   int mutations_skipped = 0; // injectors with no eligible site this run
   int fired_by[kNumMutations] = {};    // per-mutation detection counts
   int skipped_by[kNumMutations] = {};  // per-mutation skip counts
+  // Fault steps whose batch affected a tenant, and the corruptions
+  // injected inside such a batch's audited scope that its scoped audit
+  // detected, per mutation.
+  int scoped_batches = 0;
+  int scoped_fired_by[kNumMutations] = {};
   long checks = 0;           // verifier checks executed across all audits
 
   // Count of tenants that actually deployed (scenario richness metric).
   int tenants_deployed = 0;
 };
 
-// Runs one seeded scenario end to end. Deterministic per seed.
+// Runs one seeded scenario end to end. Deterministic per seed. After every
+// fault step the batch's scoped audit must report the same violations as
+// a full audit, and (with `mutations`) every injector that fires inside
+// the batch's audited scope must trip its target under that scope.
 FuzzOutcome fuzzOnce(std::uint64_t seed, const FuzzOptions& opts = {});
 
 }  // namespace clickinc::verify

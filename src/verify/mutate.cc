@@ -21,20 +21,33 @@ struct Site {
   int device = -1;
 };
 
-std::vector<Site> collectSites(const Snapshot& snap) {
+// Whether a placement of tenant `tenant` (index into snap.tenants) on
+// `device` lies inside the audited scope.
+bool siteInScope(const Snapshot& snap, const VerifyOptions& scope,
+                 int tenant, int device) {
+  return inScope(scope.scope_users,
+                 snap.tenants[static_cast<std::size_t>(tenant)].user_id) &&
+         inScope(scope.scope_devices, device);
+}
+
+// The in-scope sites, in tenant / assignment / device order.
+std::vector<Site> collectSites(const Snapshot& snap,
+                               const VerifyOptions& scope) {
   std::vector<Site> out;
   for (std::size_t t = 0; t < snap.tenants.size(); ++t) {
     const auto& plan = snap.tenants[t].plan;
     for (std::size_t ai = 0; ai < plan.assignments.size(); ++ai) {
       const auto& a = plan.assignments[ai];
       for (const auto& [dev, p] : a.on_device) {
-        if (!p.instr_idxs.empty()) {
+        if (!p.instr_idxs.empty() &&
+            siteInScope(snap, scope, static_cast<int>(t), dev)) {
           out.push_back({static_cast<int>(t), static_cast<int>(ai), false,
                          dev});
         }
       }
       for (const auto& [dev, p] : a.on_bypass) {
-        if (!p.instr_idxs.empty()) {
+        if (!p.instr_idxs.empty() &&
+            siteInScope(snap, scope, static_cast<int>(t), dev)) {
           out.push_back({static_cast<int>(t), static_cast<int>(ai), true,
                          dev});
         }
@@ -50,7 +63,8 @@ place::IntraPlacement& placementAt(Snapshot* snap, const Site& s) {
   return s.bypass ? a.on_bypass.at(s.device) : a.on_device.at(s.device);
 }
 
-std::optional<std::string> injectSlotCollision(Snapshot* snap, Rng* rng) {
+std::optional<std::string> injectSlotCollision(Snapshot* snap, Rng* rng,
+                                               const VerifyOptions& scope) {
   // Per device: which tenants reference which states there.
   struct Ref {
     int tenant;
@@ -58,7 +72,7 @@ std::optional<std::string> injectSlotCollision(Snapshot* snap, Rng* rng) {
   };
   std::map<int, std::vector<Ref>> refs_on;  // device -> refs, deduped
   std::map<int, std::set<std::pair<int, int>>> seen;
-  for (const Site& s : collectSites(*snap)) {
+  for (const Site& s : collectSites(*snap, {})) {
     const auto& tenant = snap->tenants[static_cast<std::size_t>(s.tenant)];
     const auto& p =
         s.bypass ? tenant.plan.assignments[static_cast<std::size_t>(
@@ -88,6 +102,7 @@ std::optional<std::string> injectSlotCollision(Snapshot* snap, Rng* rng) {
   std::vector<Candidate> cands;
   for (const auto& [dev, refs] : refs_on) {
     for (const Ref& victim : refs) {
+      if (!siteInScope(*snap, scope, victim.tenant, dev)) continue;
       for (const Ref& target : refs) {
         if (victim.tenant != target.tenant) {
           cands.push_back({dev, victim, target});
@@ -113,11 +128,12 @@ std::optional<std::string> injectSlotCollision(Snapshot* snap, Rng* rng) {
              "' colliding on device ", c.device);
 }
 
-std::optional<std::string> injectOverClaim(Snapshot* snap, Rng* rng) {
+std::optional<std::string> injectOverClaim(Snapshot* snap, Rng* rng,
+                                           const VerifyOptions& scope) {
   // Eligible assignment: duplicating its instruction list actually grows
   // the re-derived claims on at least one of its devices (pure
   // state-touch segments can be idempotent under duplication).
-  auto sites = collectSites(*snap);
+  auto sites = collectSites(*snap, scope);
   if (sites.empty()) return std::nullopt;
   const std::size_t start = rng->nextBelow(sites.size());
   for (std::size_t off = 0; off < sites.size(); ++off) {
@@ -161,8 +177,8 @@ std::optional<std::string> injectOverClaim(Snapshot* snap, Rng* rng) {
   return std::nullopt;
 }
 
-std::optional<std::string> injectReplicaDivergence(Snapshot* snap,
-                                                   Rng* rng) {
+std::optional<std::string> injectReplicaDivergence(
+    Snapshot* snap, Rng* rng, const VerifyOptions& scope) {
   struct Candidate {
     int tenant;
     int assignment;
@@ -173,9 +189,12 @@ std::optional<std::string> injectReplicaDivergence(Snapshot* snap,
     const auto& plan = snap->tenants[t].plan;
     for (std::size_t ai = 0; ai < plan.assignments.size(); ++ai) {
       const auto& a = plan.assignments[ai];
-      auto replicated = [](const std::map<int, place::IntraPlacement>& m) {
+      auto replicated = [&](const std::map<int, place::IntraPlacement>& m) {
         int nonempty = 0;
-        for (const auto& [dev, p] : m) nonempty += !p.instr_idxs.empty();
+        for (const auto& [dev, p] : m) {
+          nonempty += !p.instr_idxs.empty() &&
+                      siteInScope(*snap, scope, static_cast<int>(t), dev);
+        }
         return m.size() >= 2 && nonempty >= 1;
       };
       if (replicated(a.on_device)) {
@@ -191,9 +210,12 @@ std::optional<std::string> injectReplicaDivergence(Snapshot* snap,
   auto& a = snap->tenants[static_cast<std::size_t>(c.tenant)]
                 .plan.assignments[static_cast<std::size_t>(c.assignment)];
   auto& m = c.bypass ? a.on_bypass : a.on_device;
-  // Truncate one non-empty replica; the survivors keep the full list.
+  // Truncate one non-empty in-scope replica; the survivors keep the full
+  // list.
   for (auto& [dev, p] : m) {
-    if (p.instr_idxs.empty()) continue;
+    if (p.instr_idxs.empty() || !siteInScope(*snap, scope, c.tenant, dev)) {
+      continue;
+    }
     p.instr_idxs.pop_back();
     if (!p.stage_of.empty()) p.stage_of.pop_back();
     return cat("dropped the tail instruction from user ",
@@ -203,8 +225,9 @@ std::optional<std::string> injectReplicaDivergence(Snapshot* snap,
   return std::nullopt;
 }
 
-std::optional<std::string> injectPredClobber(Snapshot* snap, Rng* rng) {
-  auto sites = collectSites(*snap);
+std::optional<std::string> injectPredClobber(Snapshot* snap, Rng* rng,
+                                             const VerifyOptions& scope) {
+  auto sites = collectSites(*snap, scope);
   std::vector<Site> eligible;
   for (const Site& s : sites) {
     if (placementAt(snap, s).instr_idxs.size() >= 2) eligible.push_back(s);
@@ -261,14 +284,16 @@ Invariant targetInvariant(Mutation m) {
 }
 
 std::optional<std::string> injectMutation(Snapshot* snap, Mutation m,
-                                          std::uint64_t seed) {
+                                          std::uint64_t seed,
+                                          const VerifyOptions& scope) {
   Rng rng(seed ^ (static_cast<std::uint64_t>(m) + 1) * 0xD1B54A32D192ED03ULL);
   switch (m) {
-    case Mutation::kSlotCollision: return injectSlotCollision(snap, &rng);
-    case Mutation::kOverClaim: return injectOverClaim(snap, &rng);
+    case Mutation::kSlotCollision:
+      return injectSlotCollision(snap, &rng, scope);
+    case Mutation::kOverClaim: return injectOverClaim(snap, &rng, scope);
     case Mutation::kReplicaDivergence:
-      return injectReplicaDivergence(snap, &rng);
-    case Mutation::kPredClobber: return injectPredClobber(snap, &rng);
+      return injectReplicaDivergence(snap, &rng, scope);
+    case Mutation::kPredClobber: return injectPredClobber(snap, &rng, scope);
   }
   return std::nullopt;
 }

@@ -47,7 +47,13 @@ Invariant targetInvariant(Mutation m);
 
 // Applies `m` to *snap at a seed-chosen eligible site. Returns what was
 // corrupted, or nullopt (snapshot unchanged) when no site qualifies.
+// `scope` narrows the eligible sites to those a verify with the same
+// options audits: the corrupted placement's tenant in scope_users and its
+// device in scope_devices (a renamed state's owner and device, for
+// kSlotCollision). With both unset every site qualifies, and the choice
+// is the same as without a scope.
 std::optional<std::string> injectMutation(Snapshot* snap, Mutation m,
-                                          std::uint64_t seed);
+                                          std::uint64_t seed,
+                                          const VerifyOptions& scope = {});
 
 }  // namespace clickinc::verify

@@ -268,9 +268,6 @@ void checkOccupancy(const std::vector<TenantView>& tenants,
                     const topo::Topology& topo,
                     const place::OccupancyMap& occ,
                     const VerifyOptions& opts, VerifyReport* out) {
-  auto inScope = [&](int d) {
-    return opts.scope_devices.empty() || opts.scope_devices.count(d) != 0;
-  };
   const int node_count = static_cast<int>(topo.nodes().size());
   // Zeroed claim totals for one device, sized like its ledger entry.
   auto emptyClaims = [](const device::DeviceModel& model) {
@@ -294,7 +291,9 @@ void checkOccupancy(const std::vector<TenantView>& tenants,
     forEachPlacement(*t.plan, [&](int seg, int dev,
                                   const place::IntraPlacement& p) {
       (void)seg;
-      if (dev < 0 || dev >= node_count || !inScope(dev)) return;
+      if (dev < 0 || dev >= node_count || !inScope(opts.scope_devices, dev)) {
+        return;
+      }
       const auto& node = topo.node(dev);
       if (!node.programmable || !placementValid(*t.prog, p, node.model)) {
         return;
@@ -315,7 +314,7 @@ void checkOccupancy(const std::vector<TenantView>& tenants,
 
   for (int d = 0; d < node_count; ++d) {
     const auto& node = topo.node(d);
-    if (!node.programmable || !inScope(d)) continue;
+    if (!node.programmable || !inScope(opts.scope_devices, d)) continue;
     const auto& model = node.model;
     const bool pipeline = model.arch == device::Arch::kPipeline;
     // A device no placement touches is held against the bare budget.
@@ -372,9 +371,6 @@ void checkIsolation(const std::vector<TenantView>& tenants,
                     const place::OccupancyMap& occ,
                     const VerifyOptions& opts, VerifyReport* out) {
   (void)occ;
-  auto inScope = [&](int d) {
-    return opts.scope_devices.empty() || opts.scope_devices.count(d) != 0;
-  };
   // device -> state name -> first-owner user id.
   std::unordered_map<int, std::unordered_map<std::string, int>> owner_of;
   std::set<std::tuple<int, std::string, int>> reported;
@@ -382,7 +378,9 @@ void checkIsolation(const std::vector<TenantView>& tenants,
   for (const auto& t : tenants) {
     forEachPlacement(*t.plan, [&](int seg, int dev,
                                   const place::IntraPlacement& p) {
-      if (dev < 0 || dev >= node_count || !inScope(dev)) return;
+      if (dev < 0 || dev >= node_count || !inScope(opts.scope_devices, dev)) {
+        return;
+      }
       if (!topo.node(dev).programmable) return;
       for (int idx : p.instr_idxs) {
         if (idx < 0 || idx >= static_cast<int>(t.prog->instrs.size())) {
@@ -496,10 +494,9 @@ VerifyReport verifyDeployments(const std::vector<TenantView>& tenants,
   const auto t0 = std::chrono::steady_clock::now();
   VerifyReport out;
   for (const auto& t : tenants) {
-    if (!opts.scope_users.empty() && opts.scope_users.count(t.user_id) == 0) {
-      continue;
+    if (inScope(opts.scope_users, t.user_id)) {
+      verifyTenant(t, topo, opts, &out);
     }
-    verifyTenant(t, topo, opts, &out);
   }
   if (opts.occupancy) checkOccupancy(tenants, topo, occ, opts, &out);
   if (opts.isolation) checkIsolation(tenants, topo, occ, opts, &out);

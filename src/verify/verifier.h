@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -98,12 +99,19 @@ struct VerifyOptions {
   ir::ExecPlanOptions plan_options;         // must match the emulator's
   ir::ExecPlanCache* plan_cache = nullptr;  // optional, borrowed
   // Cross-tenant checks (occupancy, isolation) restricted to these
-  // devices; empty = every programmable device.
-  std::set<int> scope_devices;
+  // devices; nullopt = every programmable device, an empty set = none.
+  // Every tenant's placements on an in-scope device are walked, whether or
+  // not the tenant is in scope_users.
+  std::optional<std::set<int>> scope_devices;
   // Per-tenant checks (replica, IR, fused plans) restricted to these user
-  // ids; empty = every tenant.
-  std::set<int> scope_users;
+  // ids; nullopt = every tenant, an empty set = none.
+  std::optional<std::set<int>> scope_users;
 };
+
+// Whether `id` lies in a VerifyOptions scope (nullopt = everything).
+inline bool inScope(const std::optional<std::set<int>>& scope, int id) {
+  return !scope.has_value() || scope->count(id) != 0;
+}
 
 // One deployed tenant as the verifier sees it. Borrowed pointers: the
 // caller keeps prog/plan alive for the duration of the call.
@@ -125,9 +133,9 @@ void verifyTenant(const TenantView& tenant, const topo::Topology& topo,
 void checkFusedPlan(const ir::ExecPlan& plan, int user, int device,
                     int segment, VerifyReport* out);
 
-// Whole audit: per-tenant checks for every tenant (scope_users) plus the
-// cross-tenant occupancy and isolation checks (scope_devices) against the
-// live ledger.
+// Whole audit: per-tenant checks for every tenant in scope_users plus the
+// cross-tenant occupancy and isolation checks over the devices in
+// scope_devices, against the live ledger.
 VerifyReport verifyDeployments(const std::vector<TenantView>& tenants,
                                const topo::Topology& topo,
                                const place::OccupancyMap& occ,

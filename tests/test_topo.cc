@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <thread>
@@ -477,6 +478,154 @@ TEST(EcMemo, ConcurrentBuildsWithAlternatingViews) {
   for (int w = 0; w < kThreads; ++w) {
     EXPECT_EQ(mismatches[static_cast<std::size_t>(w)], 0) << "thread " << w;
   }
+}
+
+// --- router -----------------------------------------------------------------
+
+// The router's oracle: a textbook BFS that stops when it dequeues dst,
+// with Down nodes and Down links read straight from the view.
+std::vector<int> referencePath(const Topology& t, int src, int dst,
+                               const HealthView& hv) {
+  std::set<std::pair<int, int>> down_links;
+  for (std::size_t i = 0; i < t.links().size(); ++i) {
+    if (hv.linkAt(static_cast<int>(i)) != Health::kDown) continue;
+    const Link& l = t.links()[i];
+    down_links.insert({l.a, l.b});
+    down_links.insert({l.b, l.a});
+  }
+  auto down = [&](int n) { return hv.nodeAt(n) == Health::kDown; };
+  if (down(src) || down(dst)) return {};
+  std::map<int, int> parent{{src, src}};
+  std::deque<int> queue{src};
+  while (!queue.empty()) {
+    const int cur = queue.front();
+    queue.pop_front();
+    if (cur == dst) break;
+    for (int nb : t.neighbors(cur)) {
+      if (parent.count(nb) != 0 || down(nb) ||
+          down_links.count({cur, nb}) != 0) {
+        continue;
+      }
+      parent[nb] = cur;
+      queue.push_back(nb);
+    }
+  }
+  if (parent.count(dst) == 0) return {};
+  std::vector<int> path{dst};
+  while (path.back() != src) path.push_back(parent[path.back()]);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+// A seeded view mixing Down nodes, Draining nodes and Down links, hosts
+// included.
+HealthView randomView(const Topology& t, Rng* rng) {
+  HealthView hv;
+  for (int i = 0; i < t.nodeCount(); ++i) {
+    const auto roll = rng->nextBelow(100);
+    hv.node.push_back(roll < 8    ? Health::kDown
+                      : roll < 16 ? Health::kDraining
+                                  : Health::kUp);
+  }
+  for (std::size_t i = 0; i < t.links().size(); ++i) {
+    hv.link.push_back(rng->nextBelow(100) < 6 ? Health::kDown : Health::kUp);
+  }
+  return hv;
+}
+
+std::vector<int> hostsOf(const Topology& t) {
+  std::vector<int> hosts;
+  for (const auto& n : t.nodes()) {
+    if (n.kind == NodeKind::kHost) hosts.push_back(n.id);
+  }
+  return hosts;
+}
+
+// Every host pair under the view: one reused PathFinder, the one-shot
+// shortestPathUp on the view and on live health set to it, and the
+// oracle agree element for element. Returns how many pairs had a path.
+int expectRouterMatchesOracle(const Topology& base, const HealthView& hv) {
+  Topology live = base;
+  live.restoreHealth(hv.node, hv.link, 1);
+  PathFinder router(base, &hv);
+  const std::vector<int> hosts = hostsOf(base);
+  int routed = 0;
+  for (int src : hosts) {
+    for (int dst : hosts) {
+      const auto want = referencePath(base, src, dst, hv);
+      EXPECT_EQ(router.path(src, dst), want) << src << " -> " << dst;
+      EXPECT_EQ(base.shortestPathUp(src, dst, &hv), want);
+      EXPECT_EQ(live.shortestPathUp(src, dst), want);
+      routed += !want.empty();
+    }
+  }
+  return routed;
+}
+
+std::vector<Topology> routerTopologies() {
+  std::vector<Topology> out;
+  out.push_back(Topology::fatTree(4, 2, device::makeTofino(),
+                                  device::makeTrident4(),
+                                  device::makeTofino2()));
+  out.push_back(fatTree8());
+  out.push_back(Topology::paperEmulation());
+  out.push_back(Topology::chain(
+      {device::makeTofino(), device::makeTrident4(), device::makeNfp()}));
+  return out;
+}
+
+TEST(PathFinder, AllUpMatchesOracleAndShortestPath) {
+  for (const auto& t : routerTopologies()) {
+    const HealthView up;
+    const std::vector<int> hosts = hostsOf(t);
+    PathFinder wiring(t, nullptr);
+    for (int src : hosts) {
+      for (int dst : hosts) {
+        const auto want = referencePath(t, src, dst, up);
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(wiring.path(src, dst), want);
+        EXPECT_EQ(t.shortestPath(src, dst), want);
+        EXPECT_EQ(t.shortestPathUp(src, dst), t.shortestPath(src, dst));
+      }
+    }
+    EXPECT_EQ(expectRouterMatchesOracle(t, t.healthView()),
+              static_cast<int>(hosts.size() * hosts.size()));
+  }
+}
+
+TEST(PathFinder, RandomHealthViewsMatchOracle) {
+  Rng rng(0x9A7B);
+  int routed = 0, blocked = 0;
+  for (const auto& t : routerTopologies()) {
+    for (int view = 0; view < 12; ++view) {
+      const int hosts = static_cast<int>(hostsOf(t).size());
+      const int r = expectRouterMatchesOracle(t, randomView(t, &rng));
+      routed += r;
+      blocked += hosts * hosts - r;
+    }
+  }
+  // The views must exercise both outcomes, not only one.
+  EXPECT_GT(routed, 1000);
+  EXPECT_GT(blocked, 100);
+}
+
+TEST(PathFinder, DrainingForwardsAndDownBlocks) {
+  Topology t = Topology::chain({device::makeTofino(), device::makeTofino()});
+  const int client = t.findNode("client");
+  const int server = t.findNode("server");
+  HealthView hv = t.healthView();
+  hv.node[static_cast<std::size_t>(t.findNode("d0"))] = Health::kDraining;
+  EXPECT_EQ(PathFinder(t, &hv).path(client, server).size(), 4u);
+  hv.link[static_cast<std::size_t>(t.linkIndex(t.findNode("d0"),
+                                               t.findNode("d1")))] =
+      Health::kDown;
+  PathFinder cut(t, &hv);
+  EXPECT_TRUE(cut.path(client, server).empty());
+  EXPECT_EQ(cut.path(client, t.findNode("d0")).size(), 2u);
+  hv.node[static_cast<std::size_t>(client)] = Health::kDown;
+  EXPECT_TRUE(PathFinder(t, &hv).path(client, client).empty());
+  EXPECT_EQ(PathFinder(t, nullptr).path(client, client),
+            std::vector<int>{client});
 }
 
 }  // namespace

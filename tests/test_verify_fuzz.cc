@@ -1,8 +1,10 @@
 // The plan verifier and its differential fuzz harness: real pipeline
 // states verify clean (no false positives) across 200 seeded scenarios
 // with failover churn, every mutation-injected corruption is detected (no
-// false negatives), and the commit-stage gate turns a corrupted ledger
-// into a structured kVerification failure with full rollback.
+// false negatives), each failover batch's scoped audit covers what the
+// batch changed and agrees with a full audit, and the commit-stage gate
+// turns a corrupted ledger into a structured kVerification failure with
+// full rollback.
 #include <gtest/gtest.h>
 
 #include "core/service.h"
@@ -36,13 +38,18 @@ core::SubmitRequest kvsRequest(const core::ClickIncService& svc) {
 
 TEST(VerifyFuzz, TwoHundredSeedsCleanAndEveryMutationClassDetected) {
   long fired_by[kNumMutations] = {};
-  long checkpoints = 0, deployed = 0;
+  long scoped_fired_by[kNumMutations] = {};
+  long checkpoints = 0, deployed = 0, scoped_batches = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const FuzzOutcome out = fuzzOnce(seed);
     ASSERT_TRUE(out.ok) << "seed " << seed << ": " << out.failure;
     checkpoints += out.checkpoints;
     deployed += out.tenants_deployed;
-    for (int m = 0; m < kNumMutations; ++m) fired_by[m] += out.fired_by[m];
+    scoped_batches += out.scoped_batches;
+    for (int m = 0; m < kNumMutations; ++m) {
+      fired_by[m] += out.fired_by[m];
+      scoped_fired_by[m] += out.scoped_fired_by[m];
+    }
   }
   // The scenarios must be substantive: hundreds of clean audits over
   // hundreds of deployed tenants, and every corruption class detected
@@ -52,6 +59,15 @@ TEST(VerifyFuzz, TwoHundredSeedsCleanAndEveryMutationClassDetected) {
   for (int m = 0; m < kNumMutations; ++m) {
     EXPECT_GE(fired_by[m], 10)
         << toString(static_cast<Mutation>(m)) << " rarely detected";
+  }
+  // Failover batches that moved a tenant: each one's scoped audit matched
+  // a full audit, covered every change, and caught corruption injected
+  // inside its scope, for every class.
+  EXPECT_GT(scoped_batches, 100);
+  for (int m = 0; m < kNumMutations; ++m) {
+    EXPECT_GE(scoped_fired_by[m], 5)
+        << toString(static_cast<Mutation>(m))
+        << " rarely injected inside a failover batch's scope";
   }
 }
 
@@ -122,7 +138,7 @@ TEST(Verifier, CommitGateFailsSubmissionWithKVerificationAndRollsBack) {
   EXPECT_EQ(r2.verify.checks, 0);
 }
 
-TEST(Verifier, FailoverReportCarriesACleanFullAudit) {
+TEST(Verifier, FailoverReportCarriesACleanScopedAudit) {
   core::ClickIncService svc(topo::Topology::paperEmulation());
   const auto r = svc.submit(kvsRequest(svc));
   ASSERT_TRUE(r.ok);
@@ -132,6 +148,8 @@ TEST(Verifier, FailoverReportCarriesACleanFullAudit) {
   const auto report = svc.failNode(devs.front());
   EXPECT_TRUE(report.verify.ok()) << report.verify.summary();
   EXPECT_GT(report.verify.checks, 0);
+  // The scope holds the dead device and the tenant's old plan devices.
+  for (int dev : devs) EXPECT_EQ(report.touched_devices.count(dev), 1u);
 
   const auto heal = svc.healNode(devs.front());
   EXPECT_TRUE(heal.verify.ok()) << heal.verify.summary();
@@ -199,6 +217,58 @@ TEST_F(MutationInjectors, SlotCollisionReportsBothDeviceAndUsers) {
     EXPECT_GE(v.user, 0);
     EXPECT_NE(v.detail.find("also deployed by user"), std::string::npos);
   }
+}
+
+// A failover batch audits only the tenants it moved and the devices it
+// touched, which is far less than a full audit, yet every corruption
+// injected inside that scope is caught by it.
+TEST_F(MutationInjectors, ScopedFailoverAuditCatchesInScopeCorruption) {
+  const auto& deps = svc_->deployments();
+  const int victim = deps.rbegin()->first;  // the MLAgg tenant
+  const auto devs = deps.at(victim).plan.devicesUsed();
+  ASSERT_FALSE(devs.empty());
+
+  const auto report = svc_->failNode(devs.front());
+  ASSERT_FALSE(report.tenants.empty());
+  ASSERT_TRUE(report.verify.ok()) << report.verify.summary();
+  const VerifyReport full = svc_->verifyDeployments();
+  ASSERT_TRUE(full.ok()) << full.summary();
+  EXPECT_LT(report.verify.checks, full.checks);
+
+  VerifyOptions scope;
+  scope.scope_users.emplace();
+  for (const auto& t : report.tenants) scope.scope_users->insert(t.user_id);
+  scope.scope_devices = report.touched_devices;
+  const Snapshot snap = svc_->verifySnapshot();
+  ASSERT_TRUE(snap.verify(scope).ok());
+  int fired = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (int mi = 0; mi < kNumMutations; ++mi) {
+      const auto m = static_cast<Mutation>(mi);
+      Snapshot mutated = snap;
+      const auto desc = injectMutation(&mutated, m, seed, scope);
+      if (!desc.has_value()) continue;
+      ++fired;
+      const VerifyReport rep = mutated.verify(scope);
+      EXPECT_TRUE(rep.has(targetInvariant(m)))
+          << toString(m) << " (" << *desc << "): " << rep.summary();
+    }
+  }
+  EXPECT_GE(fired, 16);
+}
+
+// An empty scope audits nothing; an unset one audits everything.
+TEST_F(MutationInjectors, EmptyScopeMeansNothing) {
+  VerifyOptions none;
+  none.scope_users.emplace();
+  none.scope_devices.emplace();
+  Snapshot mutated = *snap_;
+  ASSERT_TRUE(injectMutation(&mutated, Mutation::kOverClaim, 7).has_value());
+  const VerifyReport empty = mutated.verify(none);
+  EXPECT_TRUE(empty.ok()) << empty.summary();
+  EXPECT_EQ(empty.checks, 0);
+  EXPECT_FALSE(mutated.verify().ok());
+  EXPECT_FALSE(injectMutation(&mutated, Mutation::kPredClobber, 7, none));
 }
 
 }  // namespace
